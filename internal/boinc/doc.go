@@ -6,6 +6,15 @@
 // validates returns by quorum (Anderson 2004, the redundancy mechanism
 // public-resource projects use against faulty or malicious hosts).
 //
+// The server keeps an index of its under-replicated units — no
+// canonical result yet, fewer replicas in flight than quorum still
+// needs — so dispatching a replica costs time in the size of that
+// index, not in the number of units ever issued. The index is ordered
+// by ID string, not by mint index: padded IDs stop sorting numerically
+// past index 999999 ("…-wu-1000000" < "…-wu-200000"), and string order
+// is the order the server has always topped units up in, so every
+// assignment, and every fleet result built on them, stays the same.
+//
 // The compute kernel is a real pulsar-search-shaped workload: generate a
 // synthetic strain series, window it, FFT it (radix-2 Cooley–Tukey), and
 // scan the power spectrum for candidate peaks — the hot loop structure of

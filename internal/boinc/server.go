@@ -1,6 +1,6 @@
 package boinc
 
-import "sort"
+import "slices"
 
 // Project is a BOINC-style project server: it generates work units,
 // hands out replicas to volunteers, and validates returned results by
@@ -21,14 +21,24 @@ type Project struct {
 	assignments map[string][]string
 	// unitIdx maps a unit ID back to its mint index (IDs are formatted
 	// from the index, but parsing them back would truncate past the
-	// padding width).
+	// padding width). It is also the set of units ever minted.
 	unitIdx map[string]int
-	// reports[unitID] collects returned peak bins by volunteer.
-	reports map[string]map[string]int
+	// reports[unitID] collects returned peak bins, one per volunteer.
+	reports map[string][]report
 	// canonical[unitID] holds the quorum-validated result.
 	canonical map[string]int
+	// needy lists the units that should take another replica (isNeedy),
+	// sorted as strings: dispatch order is ID string order, which is not
+	// mint order past index 999999 (see the package doc).
+	needy []string
 	// invalid counts reports that disagreed with an established quorum.
 	invalid int
+}
+
+// report is one volunteer's returned peak bin for a unit.
+type report struct {
+	volunteer string
+	bin       int
 }
 
 // NewProject creates a server whose units carry the given chunk count.
@@ -46,7 +56,7 @@ func NewProject(name string, replication, chunksPerUnit int, seedBase uint64) *P
 		chunks:      chunksPerUnit,
 		assignments: map[string][]string{},
 		unitIdx:     map[string]int{},
-		reports:     map[string]map[string]int{},
+		reports:     map[string][]report{},
 		canonical:   map[string]int{},
 	}
 }
@@ -67,8 +77,13 @@ func CheckpointCadence(chunks int) int {
 // by Project and by schedulers that mint compatible units themselves
 // (internal/grid's non-replicating policies).
 func MintUnit(project string, i int, seedBase uint64, chunks int) WorkUnit {
+	return unitWithID(mintID(project, i), i, seedBase, chunks)
+}
+
+// unitWithID is MintUnit around an already formatted ID.
+func unitWithID(id string, i int, seedBase uint64, chunks int) WorkUnit {
 	return WorkUnit{
-		ID:              mintID(project, i),
+		ID:              id,
 		Seed:            seedBase + uint64(i),
 		Chunks:          chunks,
 		CheckpointEvery: CheckpointCadence(chunks),
@@ -107,56 +122,55 @@ func mintID(project string, i int) string {
 // unitID formats the id of the i-th generated unit.
 func (p *Project) unitID(i int) string { return mintID(p.Name, i) }
 
-// unitFor reconstructs the deterministic work unit for an index.
-func (p *Project) unitFor(i int) WorkUnit {
-	return MintUnit(p.Name, i, p.seedBase, p.chunks)
-}
-
 // RequestWork assigns a replica to the volunteer: first any unit still
-// short of its replication target that this volunteer does not already
-// hold, otherwise a fresh unit.
+// short of its replication target that this volunteer neither holds nor
+// has reported, in ID order, otherwise a fresh unit.
 func (p *Project) RequestWork(volunteer string) WorkUnit {
-	// Prefer topping up under-replicated units (deterministic order).
-	ids := make([]string, 0, len(p.assignments))
-	for id := range p.assignments {
-		ids = append(ids, id)
+	for _, id := range p.needy {
+		if slices.Contains(p.assignments[id], volunteer) || reportOf(p.reports[id], volunteer) >= 0 {
+			continue
+		}
+		p.assignments[id] = append(p.assignments[id], volunteer)
+		p.refreshNeedy(id)
+		return unitWithID(id, p.unitIdx[id], p.seedBase, p.chunks)
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		holders := p.assignments[id]
-		if _, done := p.canonical[id]; done {
-			continue
-		}
-		// A unit needs enough further agreeing reports to reach quorum
-		// beyond its best current agreement; replicas in flight count
-		// toward that. A 1–1 split therefore re-issues a tie-breaker.
-		best := 0
-		tally := map[int]int{}
-		for _, v := range p.reports[id] {
-			tally[v]++
-			if tally[v] > best {
-				best = tally[v]
-			}
-		}
-		if len(holders) >= p.Replication-best {
-			continue
-		}
-		if containsString(holders, volunteer) {
-			continue
-		}
-		if _, reported := p.reports[id][volunteer]; reported {
-			continue
-		}
-		p.assignments[id] = append(holders, volunteer)
-		return p.unitFor(p.unitIdx[id])
-	}
-	// Fresh unit.
 	i := p.nextUnit
 	p.nextUnit++
 	id := p.unitID(i)
-	p.assignments[id] = []string{volunteer}
+	// Room for the full quorum, so top-ups append without reallocating.
+	holders := make([]string, 1, p.Replication)
+	holders[0] = volunteer
+	p.assignments[id] = holders
 	p.unitIdx[id] = i
-	return p.unitFor(i)
+	p.refreshNeedy(id)
+	return unitWithID(id, i, p.seedBase, p.chunks)
+}
+
+// isNeedy reports whether a unit should take another replica: it has no
+// canonical result, and fewer replicas in flight than the agreeing
+// reports quorum still needs beyond its best current agreement. A 1–1
+// split therefore re-issues a tie-breaker.
+func (p *Project) isNeedy(id string) bool {
+	if _, done := p.canonical[id]; done {
+		return false
+	}
+	best := 0
+	for _, r := range p.reports[id] {
+		best = max(best, agreeing(p.reports[id], r.bin))
+	}
+	return len(p.assignments[id]) < p.Replication-best
+}
+
+// refreshNeedy re-checks one unit's membership in the needy index after
+// its holders, reports or canonical result changed.
+func (p *Project) refreshNeedy(id string) {
+	i, in := slices.BinarySearch(p.needy, id)
+	switch want := p.isNeedy(id); {
+	case want && !in:
+		p.needy = slices.Insert(p.needy, i, id)
+	case !want && in:
+		p.needy = slices.Delete(p.needy, i, i+1)
+	}
 }
 
 // TrueResult computes the ground-truth peak bin for a unit — what an
@@ -168,11 +182,14 @@ func TrueResult(wu WorkUnit) int {
 
 // SubmitResult records a volunteer's returned peak bin and runs quorum
 // validation. It reports whether the unit now has a canonical result.
+// A report for a unit the project never issued is rejected: it returns
+// false and changes nothing.
 func (p *Project) SubmitResult(volunteer, unitID string, peakBin int) (validated bool) {
-	if p.reports[unitID] == nil {
-		p.reports[unitID] = map[string]int{}
+	if _, issued := p.unitIdx[unitID]; !issued {
+		return false
 	}
-	p.reports[unitID][volunteer] = peakBin
+	rs := setReport(p.reports[unitID], volunteer, peakBin)
+	p.reports[unitID] = rs
 	p.assignments[unitID] = removeString(p.assignments[unitID], volunteer)
 
 	if existing, done := p.canonical[unitID]; done {
@@ -181,22 +198,20 @@ func (p *Project) SubmitResult(volunteer, unitID string, peakBin int) (validated
 		}
 		return true
 	}
-	// Quorum: Replication agreeing values among the reports.
-	counts := map[int]int{}
-	for _, v := range p.reports[unitID] {
-		counts[v]++
-		if counts[v] >= p.Replication {
-			p.canonical[unitID] = v
-			// Late disagreements already on file count as invalid.
-			for _, other := range p.reports[unitID] {
-				if other != v {
-					p.invalid++
-				}
+	// Quorum: Replication agreeing values among the reports. No value
+	// had reached it before this report, so only peakBin can now.
+	if agreeing(rs, peakBin) >= p.Replication {
+		p.canonical[unitID] = peakBin
+		// Late disagreements already on file count as invalid.
+		for _, r := range rs {
+			if r.bin != peakBin {
+				p.invalid++
 			}
-			return true
 		}
+		validated = true
 	}
-	return false
+	p.refreshNeedy(unitID)
+	return validated
 }
 
 // Validated returns how many units have canonical results.
@@ -214,13 +229,36 @@ func (p *Project) Canonical(unitID string) (int, bool) {
 // Outstanding reports units generated but not yet validated.
 func (p *Project) Outstanding() int { return p.nextUnit - len(p.canonical) }
 
-func containsString(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
+// setReport records the volunteer's bin, replacing an earlier report of
+// theirs.
+func setReport(rs []report, volunteer string, bin int) []report {
+	if i := reportOf(rs, volunteer); i >= 0 {
+		rs[i].bin = bin
+		return rs
+	}
+	return append(rs, report{volunteer, bin})
+}
+
+// reportOf returns the index of the volunteer's report, or -1.
+func reportOf(rs []report, volunteer string) int {
+	for i, r := range rs {
+		if r.volunteer == volunteer {
+			return i
 		}
 	}
-	return false
+	return -1
+}
+
+// agreeing counts the reports carrying bin. A unit holds only a handful
+// of reports, so a scan beats a tally map.
+func agreeing(rs []report, bin int) int {
+	n := 0
+	for _, r := range rs {
+		if r.bin == bin {
+			n++
+		}
+	}
+	return n
 }
 
 func removeString(xs []string, v string) []string {
