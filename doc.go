@@ -17,7 +17,7 @@
 // cores — each simulation stays single-threaded, results are
 // bit-identical for any worker count, and completed shards are cached by
 // content key so repeated invocations skip finished work. The `dgrid`
-// subcommand CLI (run/list/report/fleet) and `vmbench` drive the engine;
+// subcommand CLI (run/list/report/fleet/sweep/serve) drives the engine;
 // bench_test.go at this level exposes one testing.B benchmark per figure
 // plus engine throughput benchmarks.
 //

@@ -33,6 +33,10 @@ func (f shardedFigure) RunShard(cfg core.Config, shard int) ([]byte, error) {
 	return json.Marshal(p)
 }
 
+// Fold collects the shard payloads for Merge: assembling a figure needs
+// all of them at once, as on the serial core path.
+func (f shardedFigure) Fold(cfg core.Config) (Fold, error) { return collect(cfg, f.Merge), nil }
+
 func (f shardedFigure) Merge(cfg core.Config, shards [][]byte) (*Outcome, error) {
 	payloads := make([]core.ShardPayload, len(shards))
 	for i, b := range shards {
@@ -78,6 +82,8 @@ func (e singleExp) RunShard(cfg core.Config, shard int) ([]byte, error) {
 	}
 	return json.Marshal(v)
 }
+
+func (e singleExp) Fold(cfg core.Config) (Fold, error) { return collect(cfg, e.Merge), nil }
 
 func (e singleExp) Merge(cfg core.Config, shards [][]byte) (*Outcome, error) {
 	o := &Outcome{Name: e.name, Kind: e.kind, Raw: shards[0]}

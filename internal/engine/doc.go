@@ -4,11 +4,12 @@
 //
 // Each experiment is decomposed into shards — independent, deterministic
 // units of work that boot their own simulated machine and share no
-// mutable state — plus a pure merge step. The runner fans shards from
-// every requested experiment into one pool, so independent experiments
-// and independent repetitions overlap, while each individual simulation
-// stays single-threaded (the sim kernel's determinism requirement).
-// Because assembly is a pure function of the shard payloads, the
+// mutable state — plus a pure fold over their payloads. The runner fans
+// shards from every requested experiment into one pool (shared across
+// runs, or private to one), so independent experiments and independent
+// repetitions overlap, while each individual simulation stays
+// single-threaded (the sim kernel's determinism requirement). The fold
+// takes payloads in shard order whatever the completion order, so the
 // engine's output is bit-identical for any worker count, and identical
 // to the serial core.FigureN path.
 //

@@ -29,14 +29,15 @@ const (
 	KindSweep Kind = "sweep"
 )
 
-// Experiment is one entry of the registry: a named, sharded, mergeable
+// Experiment is one entry of the registry: a named, sharded, folded
 // unit of the reproduction.
 //
 // RunShard must be deterministic in (cfg, shard), must not share mutable
 // state with other shards, and must return a JSON document that
-// round-trips exactly (the cache stores and replays these bytes). Merge
-// must be a pure function of the shard payloads — the engine calls it
-// once, after every shard completed, regardless of completion order.
+// round-trips exactly (the cache stores and replays these bytes). The
+// fold must be a pure function of the shard payloads taken in shard
+// order — the runner feeds it in that order whatever the completion
+// order was.
 type Experiment interface {
 	// Name identifies the experiment ("fig1", "timesync", ...).
 	Name() string
@@ -51,7 +52,14 @@ type Experiment interface {
 	Shards(cfg core.Config) int
 	// RunShard executes one unit and returns its JSON payload.
 	RunShard(cfg core.Config, shard int) ([]byte, error)
-	// Merge folds the payloads (indexed by shard) into an Outcome.
+	// Fold returns a fresh accumulator for one run; it is how the
+	// runner merges every experiment (see Fold).
+	Fold(cfg core.Config) (Fold, error)
+	// Merge merges a complete payload set in one call and must agree
+	// with Fold: experiments that reduce as they go implement it as
+	// foldShards, collecting ones fold through it (collect). The
+	// runner never calls it; it stays for wrappers that forward it
+	// (the benchmark's tracing wrapper).
 	Merge(cfg core.Config, shards [][]byte) (*Outcome, error)
 }
 

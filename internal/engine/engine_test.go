@@ -38,19 +38,40 @@ func (f *fakeExp) RunShard(cfg core.Config, shard int) ([]byte, error) {
 	return json.Marshal(map[string]float64{"v": float64(shard) * 1.5})
 }
 
+func (f *fakeExp) Fold(core.Config) (Fold, error) { return &fakeFold{f: f}, nil }
+
 func (f *fakeExp) Merge(cfg core.Config, shards [][]byte) (*Outcome, error) {
-	total := 0.0
-	for _, b := range shards {
-		var p map[string]float64
-		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, err
-		}
-		total += p["v"]
+	return foldShards(f, cfg, shards)
+}
+
+// fakeFold sums the payloads and enforces the in-order Absorb contract.
+type fakeFold struct {
+	f     *fakeExp
+	next  int
+	total float64
+}
+
+func (fd *fakeFold) Absorb(shard int, payload []byte) error {
+	if shard != fd.next {
+		return fmt.Errorf("fold absorbed shard %d, want %d", shard, fd.next)
+	}
+	fd.next++
+	var p map[string]float64
+	if err := json.Unmarshal(payload, &p); err != nil {
+		return err
+	}
+	fd.total += p["v"]
+	return nil
+}
+
+func (fd *fakeFold) Finish() (*Outcome, error) {
+	if fd.next != fd.f.shards {
+		return nil, fmt.Errorf("fold saw %d of %d shards", fd.next, fd.f.shards)
 	}
 	return &Outcome{
-		Name: f.name,
+		Name: fd.f.name,
 		Kind: KindFigure,
-		Text: fmt.Sprintf("%s total %.3f over %d shards\n", f.name, total, len(shards)),
+		Text: fmt.Sprintf("%s total %.3f over %d shards\n", fd.f.name, fd.total, fd.next),
 	}, nil
 }
 

@@ -124,10 +124,9 @@ type fleetVariantResult struct {
 	Fleet *grid.FleetResult
 }
 
-// Fold returns the streaming accumulator the runner uses in place of
-// Merge: one grid.Merger per variant, fed shard results in flat shard
-// order and released immediately, so a thousand-shard fleet holds one
-// decoded shard at a time instead of all of them.
+// Fold returns one grid.Merger per variant, fed shard results in flat
+// shard order and released immediately, so a thousand-shard fleet
+// holds one decoded shard at a time instead of all of them.
 func (f fleetExperiment) Fold(cfg core.Config) (Fold, error) {
 	return &fleetFold{exp: f, variantFold: newVariantFold(f.resolve(cfg))}, nil
 }
@@ -238,20 +237,8 @@ func (fd *fleetFold) Finish() (*Outcome, error) {
 	return &Outcome{Name: fd.exp.name, Kind: KindFleet, Text: text.String(), CSVText: csv.String(), Raw: raw}, nil
 }
 
-// Merge is the batch form, kept for the Experiment contract (and any
-// caller outside the runner): it simply replays the shards through the
-// same fold, so the two paths cannot drift.
 func (f fleetExperiment) Merge(cfg core.Config, shards [][]byte) (*Outcome, error) {
-	fold, err := f.Fold(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range shards {
-		if err := fold.Absorb(i, b); err != nil {
-			return nil, err
-		}
-	}
-	return fold.Finish()
+	return foldShards(f, cfg, shards)
 }
 
 // anyMigrates reports whether any variant's scenario migrates

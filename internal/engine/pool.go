@@ -5,8 +5,9 @@ import (
 	"sync"
 )
 
-// Pool is a bounded worker pool any number of concurrent Runner.Run
-// calls share. Each run keeps its own FIFO queue of span units; the
+// Pool is the bounded worker pool every Runner.Run call executes on:
+// a call's private one, or one that any number of concurrent calls
+// share. Each run keeps its own FIFO queue of span units; the
 // pool's workers serve the queues round-robin, one unit per turn, so K
 // concurrent runs each see ~1/K of the workers instead of every run
 // spinning its own private pool and oversubscribing the machine K×.
@@ -63,14 +64,18 @@ func (p *Pool) Workers() int { return p.workers }
 // pool.
 func (p *Pool) Flights() *FlightGroup { return p.flights }
 
-// Close shuts the pool's workers down after their current units
-// (tests). Units still queued are abandoned; a closed pool must not
-// receive further submits.
+// Close shuts the pool's workers down after their current units and
+// returns once every worker has exited. Units still queued are
+// abandoned; a closed pool must not receive further submits. A Runner
+// closes the private pool it creates for a run without a shared one.
 func (p *Pool) Close() {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.closed = true
-	p.mu.Unlock()
 	p.cond.Broadcast()
+	for p.spawned > 0 {
+		p.cond.Wait()
+	}
 }
 
 // poolRun is one Run call's private queue inside the pool. Runs are
@@ -136,6 +141,7 @@ func (p *Pool) worker() {
 	for {
 		if p.closed {
 			p.spawned--
+			p.cond.Broadcast() // wakes Close, and idle peers to exit too
 			p.mu.Unlock()
 			return
 		}

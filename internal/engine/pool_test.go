@@ -100,6 +100,31 @@ func TestPoolWorkerCap(t *testing.T) {
 	}
 }
 
+// TestRunWithoutPoolLeavesNoWorkers: a Runner without a shared Pool
+// executes on a private one, which it must close on every path — a run
+// that completes and a run that fails alike. An idle worker leaked per
+// run would pile up in any process that calls Run repeatedly.
+func TestRunWithoutPoolLeavesNoWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	bad := newFake("leakbad", 40)
+	bad.fail = 17
+	for _, e := range []*fakeExp{newFake("leak", 40), bad} {
+		_, _, err := (&Runner{Workers: 4}).Run(quickCfg(), []Experiment{e})
+		if (err != nil) != (e == bad) {
+			t.Fatalf("%s: err = %v", e.name, err)
+		}
+	}
+	// Close returns once the workers are past their last instruction
+	// that touches the pool; give them the moment they need to exit.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after two private-pool runs, %d before", after, before)
+	}
+}
+
 // TestDefaultPool pins the process-wide pool: one instance, GOMAXPROCS
 // workers, a single shared flight group.
 func TestDefaultPool(t *testing.T) {

@@ -66,19 +66,18 @@ type Event struct {
 	Done, Total int
 }
 
-// Runner executes experiments across a worker pool.
+// Runner executes experiments on a worker Pool.
 type Runner struct {
-	// Workers is the private pool size; <= 0 means GOMAXPROCS. Ignored
-	// for execution when Pool is set (the shared pool's worker bound
-	// governs), but still consulted for span/window sizing when
-	// positive.
+	// Workers sizes the private Pool a Run call executes on when Pool
+	// is nil; <= 0 means GOMAXPROCS. The private pool lives for that
+	// one call.
 	Workers int
-	// Pool, if non-nil, executes this run's spans on a shared worker
-	// pool instead of private goroutines: concurrent Run calls on the
-	// same Pool split its workers fairly (round-robin over runs)
-	// rather than oversubscribing the machine, and share its
-	// single-flight group. Fold order, the reorder window, and
-	// manifest journaling are per-run and unaffected.
+	// Pool, if non-nil, is the shared worker pool this run executes on
+	// (Workers is then unused): concurrent Run calls on the same Pool
+	// split its workers fairly (round-robin over runs) rather than
+	// oversubscribing the machine, and share its single-flight group.
+	// Fold order, the reorder window, and manifest journaling are
+	// per-run and unaffected.
 	Pool *Pool
 	// Flights, if non-nil, dedupes in-flight shard computations with
 	// every other run sharing the same group. Defaults to the Pool's
@@ -166,15 +165,6 @@ type taskResult struct {
 	cached  bool
 }
 
-// span is one contiguous run of task indices handed to a worker. The
-// feeder dispatches spans rather than single tasks so each worker
-// settles a run of adjacent shards — adjacent tasks are slices of the
-// same scenario — on one warm per-worker arena, and the collector's
-// pending buffer fills in contiguous stretches instead of a scatter.
-// On a multi-socket host this is also what keeps a shard range's slab
-// memory on the NUMA node of the worker that first touched it.
-type span struct{ lo, hi int }
-
 // spanChunk sizes the contiguous spans: long enough that a worker
 // amortizes its arena warm-up over several shards, short enough that
 // every worker gets multiple spans (load balance) even on short runs.
@@ -206,16 +196,16 @@ func reorderWindow(workers, chunk int) int {
 }
 
 // ResolvedWorkers reports the pool size a Run call will actually use:
-// Workers when positive, then the shared Pool's bound when one is set,
+// the shared Pool's bound when one is set, else Workers when positive,
 // otherwise GOMAXPROCS at call time. The bench harness records it so
 // benchmark artifacts carry the real worker count rather than the
 // unresolved zero.
 func (r *Runner) ResolvedWorkers() int {
-	if r.Workers > 0 {
-		return r.Workers
-	}
 	if r.Pool != nil {
 		return r.Pool.Workers()
+	}
+	if r.Workers > 0 {
+		return r.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
@@ -238,11 +228,10 @@ func (r *Runner) flights() *FlightGroup {
 // the shard payloads. On shard failure the first error (in task order)
 // is returned and remaining work is abandoned.
 //
-// Experiments implementing Folder are merged as a streaming fold: each
-// payload is absorbed, in shard order, as soon as the in-order prefix of
-// tasks completes, then released — so peak memory is bounded by the
-// reorder window rather than the shard count. Other experiments keep
-// the collect-then-merge path.
+// Every experiment merges as a streaming fold: each payload is
+// absorbed, in shard order, as soon as the in-order prefix of tasks
+// completes — so the runner itself holds no more payloads than the
+// reorder window, whatever the shard count.
 func (r *Runner) Run(cfg core.Config, exps []Experiment) ([]*Outcome, Stats, error) {
 	return r.RunContext(context.Background(), cfg, exps)
 }
@@ -263,33 +252,24 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 	start := time.Now()
 	cfg = normalize(cfg)
 
-	workers := r.ResolvedWorkers()
-
 	var (
 		tasks  []task
 		byKey  = map[string]int{} // cache key -> index into tasks
 		nSlots int
 	)
-	// Buffered payload arrays exist only for non-streaming experiments;
-	// folds absorb and drop their payloads instead.
-	payloads := make([][][]byte, len(exps))
 	folds := make([]Fold, len(exps))
 	shardCounts := make([]int, len(exps))
 	for i, e := range exps {
 		n := e.Shards(cfg)
 		shardCounts[i] = n
-		if f, ok := e.(Folder); ok {
-			fold, err := f.Fold(cfg)
-			if err != nil {
-				return nil, Stats{}, fmt.Errorf("engine: %s fold: %w", e.Name(), err)
-			}
-			// The wrapper re-establishes shard order when equal cache
-			// keys collapse shards of this experiment into tasks that
-			// complete out of its shard order (see orderedFold).
-			folds[i] = newOrderedFold(fold)
-		} else {
-			payloads[i] = make([][]byte, n)
+		fold, err := e.Fold(cfg)
+		if err != nil {
+			return nil, Stats{}, fmt.Errorf("engine: %s fold: %w", e.Name(), err)
 		}
+		// The wrapper re-establishes shard order when equal cache keys
+		// collapse shards of this experiment into tasks that complete
+		// out of its shard order (see orderedFold).
+		folds[i] = newOrderedFold(fold)
 		scopes, locals := shardScopes(e, cfg, n)
 		for s := 0; s < n; s++ {
 			nSlots++
@@ -361,6 +341,15 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		}
 	}
 
+	// Every run executes on a Pool: the shared one when set, otherwise
+	// a private one sized by Workers, closed — its workers exited —
+	// before the run returns.
+	pool := r.Pool
+	if pool == nil {
+		pool = NewPool(r.Workers)
+		defer pool.Close()
+	}
+	workers := pool.Workers()
 	chunk := spanChunk(len(tasks), workers)
 	window := reorderWindow(workers, chunk)
 	permits := make(chan struct{}, window)
@@ -373,8 +362,8 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 	// runTask resolves one task — cache, single-flight, or compute —
 	// and reports its payload to the collector. The results channel's
 	// capacity equals the permit window, so the send can never block: a
-	// worker (shared-pool or private) always finishes a task without
-	// parking on the collector.
+	// pool worker always finishes a task without parking on the
+	// collector.
 	runTask := func(ti int) {
 		if failed.Load() || ctx.Err() != nil {
 			results <- taskResult{ti: ti}
@@ -484,43 +473,37 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		}
 		results <- taskResult{ti: ti, payload: b}
 	}
-	execSpan := func(sp span) {
-		for ti := sp.lo; ti < sp.hi; ti++ {
-			runTask(ti)
-		}
-	}
 
-	// Feeder: dispatches contiguous spans of the task list in index
-	// order, acquiring one permit per task before a span goes out, so
-	// dispatch never runs more than window tasks ahead of the in-order
-	// fold (the collector returns a permit per folded task). That cap is
-	// what bounds the reorder buffer. Span dispatch is the locality
-	// schedule: a worker owns a contiguous shard range at a time, so its
-	// recycled arena stays warm on one scenario and its results land
-	// next to each other in the fold.
-	//
-	// With a shared Pool the same feeder submits each permit-backed span
-	// to this run's pool queue instead of a private channel; the pool's
-	// round-robin decides which run a freed worker serves next, while
-	// the permit flow keeps this run's outstanding work window-bounded
-	// either way.
+	// Feeder: submits contiguous spans of the task list, in index
+	// order, to this run's queue on the pool, acquiring one permit per
+	// task before a span goes out, so dispatch never runs more than
+	// window tasks ahead of the in-order fold (the collector returns a
+	// permit per folded task). That cap is what bounds the reorder
+	// buffer; the pool's round-robin only decides which run a freed
+	// worker serves next. Spans rather than single tasks are the
+	// locality schedule: a worker settles a run of adjacent shards —
+	// slices of the same scenario — on one warm per-worker arena, and
+	// their results land next to each other in the fold. On a
+	// multi-socket host this is also what keeps a shard range's slab
+	// memory on the NUMA node of the worker that first touched it.
 	//
 	// Cancellation stops the feeder at the next permit: spans past the
 	// cancel point are never dispatched, so a canceled tenant's pool
 	// queue drains to nothing instead of cycling no-op tasks through the
 	// shared workers. The feeder always reports how many tasks it
 	// actually dispatched — that count, not len(tasks), is what the
-	// collector waits for.
+	// collector waits for. wg counts the feeder and every submitted
+	// span, so waiting on it leaves none of this run's work running.
 	var wg sync.WaitGroup
 	dispatched := make(chan int, 1)
-	feed := func(dispatch func(span)) {
+	queue := pool.register()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
 		n := 0
 		defer func() { dispatched <- n }()
 		for lo := 0; lo < len(tasks); lo += chunk {
-			hi := lo + chunk
-			if hi > len(tasks) {
-				hi = len(tasks)
-			}
+			hi := min(lo+chunk, len(tasks))
 			for i := lo; i < hi; i++ {
 				select {
 				case <-permits:
@@ -528,35 +511,16 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 					return
 				}
 			}
-			dispatch(span{lo, hi})
+			wg.Add(1)
+			queue.submit(func() {
+				defer wg.Done()
+				for ti := lo; ti < hi; ti++ {
+					runTask(ti)
+				}
+			})
 			n = hi
 		}
-	}
-	if r.Pool != nil {
-		pr := r.Pool.register()
-		go feed(func(sp span) {
-			wg.Add(1)
-			pr.submit(func() {
-				defer wg.Done()
-				execSpan(sp)
-			})
-		})
-	} else {
-		ch := make(chan span)
-		go func() {
-			defer close(ch)
-			feed(func(sp span) { ch <- sp })
-		}()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for sp := range ch {
-					execSpan(sp)
-				}
-			}()
-		}
-	}
+	}()
 
 	// Collector: re-establishes task order behind the pool and folds the
 	// contiguous prefix. pending holds only out-of-order payloads, and
@@ -572,13 +536,9 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 			return
 		}
 		for _, d := range tasks[ti].dests {
-			if fold := folds[d.exp]; fold != nil {
-				if err := fold.Absorb(d.shard, payload); err != nil {
-					fail(ti, fmt.Errorf("engine: %s shard %d: %w", exps[d.exp].Name(), d.shard, err))
-					return
-				}
-			} else {
-				payloads[d.exp][d.shard] = payload
+			if err := folds[d.exp].Absorb(d.shard, payload); err != nil {
+				fail(ti, fmt.Errorf("engine: %s shard %d: %w", exps[d.exp].Name(), d.shard, err))
+				return
 			}
 		}
 	}
@@ -656,13 +616,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 
 	outcomes := make([]*Outcome, len(exps))
 	for i, e := range exps {
-		var o *Outcome
-		var err error
-		if folds[i] != nil {
-			o, err = folds[i].Finish()
-		} else {
-			o, err = e.Merge(cfg, payloads[i])
-		}
+		o, err := folds[i].Finish()
 		if err != nil {
 			stats.Elapsed = time.Since(start)
 			return nil, stats, fmt.Errorf("engine: %s merge: %w", e.Name(), err)

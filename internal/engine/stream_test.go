@@ -1,95 +1,69 @@
 package engine
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"vmdg/internal/core"
 )
 
-// fakeFolder is a fakeExp that also streams: it records the absorb
-// order so tests can pin the in-order contract.
-type fakeFolder struct {
-	fakeExp
-	t *testing.T
-}
-
-type fakeFold struct {
-	f     *fakeFolder
-	next  int
-	total float64
-	n     int
-}
-
-func (f *fakeFolder) Fold(cfg core.Config) (Fold, error) {
-	return &fakeFold{f: f}, nil
-}
-
-func (fd *fakeFold) Absorb(shard int, payload []byte) error {
-	if shard != fd.next {
-		fd.f.t.Errorf("fold absorbed shard %d, want %d", shard, fd.next)
-	}
-	fd.next++
-	var p map[string]float64
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return err
-	}
-	fd.total += p["v"]
-	fd.n++
-	return nil
-}
-
-func (fd *fakeFold) Finish() (*Outcome, error) {
-	if fd.n != fd.f.shards {
-		return nil, fmt.Errorf("fold saw %d of %d shards", fd.n, fd.f.shards)
-	}
-	return &Outcome{
-		Name: fd.f.name,
-		Kind: KindFigure,
-		Text: fmt.Sprintf("%s total %.3f over %d shards\n", fd.f.name, fd.total, fd.n),
-	}, nil
-}
-
 // TestStreamingFoldMatchesBatchMerge runs the same experiment through
-// the streaming path (as a Folder) and the batch path (plain
-// Experiment) and requires identical outcomes for any worker count.
+// the runner's streaming fold and through Merge over serially computed
+// payloads, and requires identical outcomes for any worker count.
 func TestStreamingFoldMatchesBatchMerge(t *testing.T) {
 	const shards = 100
-	batch := newFake("streamfake", shards)
-	r := Runner{Workers: 1}
-	want, _, err := r.Run(quickCfg(), []Experiment{batch})
+	fake := newFake("streamfake", shards)
+	payloads := make([][]byte, shards)
+	for s := range payloads {
+		b, err := fake.RunShard(quickCfg(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads[s] = b
+	}
+	want, err := fake.Merge(quickCfg(), payloads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		stream := &fakeFolder{fakeExp: fakeExp{name: "streamfake", shards: shards, fail: -1}, t: t}
 		r := Runner{Workers: workers}
-		got, stats, err := r.Run(quickCfg(), []Experiment{stream})
+		got, stats, err := r.Run(quickCfg(), []Experiment{fake})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Shards != shards {
 			t.Fatalf("workers=%d: %d shards, want %d", workers, stats.Shards, shards)
 		}
-		if got[0].Render() != want[0].Render() {
+		if got[0].Render() != want.Render() {
 			t.Fatalf("workers=%d: streaming outcome differs from batch:\n%s\nvs\n%s",
-				workers, got[0].Render(), want[0].Render())
+				workers, got[0].Render(), want.Render())
 		}
 	}
 }
 
+// garbledExp is a fakeExp whose shard 3 payload is not JSON, so its
+// fold's Absorb fails on it.
+type garbledExp struct{ *fakeExp }
+
+func (g garbledExp) RunShard(cfg core.Config, shard int) ([]byte, error) {
+	if shard == 3 {
+		return []byte("not json"), nil
+	}
+	return g.fakeExp.RunShard(cfg, shard)
+}
+
 // TestStreamingFoldError verifies an absorb failure surfaces like a
-// shard failure and aborts the run.
+// shard failure — naming the experiment and shard — and aborts the run.
 func TestStreamingFoldError(t *testing.T) {
-	bad := &fakeFolder{fakeExp: fakeExp{name: "badfold", shards: 5, fail: 3}, t: t}
+	bad := garbledExp{newFake("badfold", 5)}
 	r := Runner{Workers: 2}
 	_, _, err := r.Run(quickCfg(), []Experiment{bad})
-	if err == nil {
-		t.Fatal("failing shard in a folder experiment did not surface an error")
+	if err == nil || !strings.HasPrefix(err.Error(), "engine: badfold shard 3: ") {
+		t.Fatalf("absorb failure surfaced as %v, want an engine: badfold shard 3 error", err)
 	}
 }
 

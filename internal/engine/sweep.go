@@ -56,19 +56,10 @@ func (s sweepExperiment) Fold(cfg core.Config) (Fold, error) {
 	return &sweepFold{exp: s, cfg: normalize(cfg), variantFold: newVariantFold(s.resolve(cfg))}, nil
 }
 
-// Merge replays the shards through the same fold, so the batch and
-// streaming paths cannot drift.
+// Merge must be declared here: the embedded fleet Merge would fold
+// through the fleet's Fold, not the sweep's.
 func (s sweepExperiment) Merge(cfg core.Config, shards [][]byte) (*Outcome, error) {
-	fold, err := s.Fold(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range shards {
-		if err := fold.Absorb(i, b); err != nil {
-			return nil, err
-		}
-	}
-	return fold.Finish()
+	return foldShards(s, cfg, shards)
 }
 
 // sweepPayload is the merged JSON artifact: the spec that generated

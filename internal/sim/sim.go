@@ -15,7 +15,7 @@ import "fmt"
 type Event struct {
 	At     Time   // virtual time at which the callback fires
 	Fn     func() // closure callback (At/After); nil for pooled events
-	Label  string // optional, for traces and debugging
+	Label  string // optional, names the event in panics and debugging
 	call   Caller // closure-free callback (Schedule); nil for At/After
 	seq    uint64 // insertion order, breaks ties
 	index  int    // heap index; -1 once popped or cancelled
@@ -90,7 +90,6 @@ type Simulator struct {
 	fired   uint64
 	running bool
 	stopped bool
-	tracer  func(Time, string)
 }
 
 // New returns an empty simulator with the clock at zero.
@@ -108,10 +107,6 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // Pending returns the number of events currently queued (including
 // cancelled-but-unreaped ones).
 func (s *Simulator) Pending() int { return len(s.queue) }
-
-// SetTracer installs a callback invoked for every labelled event fired.
-// A nil tracer disables tracing.
-func (s *Simulator) SetTracer(fn func(Time, string)) { s.tracer = fn }
 
 // The heap is hand-rolled rather than container/heap because event
 // push/pop is the innermost loop of every simulation: interface dispatch,
@@ -294,7 +289,6 @@ func (s *Simulator) Reset() {
 	s.queue = s.queue[:0]
 	s.now, s.seq, s.fired = 0, 0, 0
 	s.stopped = false
-	s.tracer = nil
 }
 
 // step fires the earliest non-cancelled event. It reports false when the
@@ -308,9 +302,6 @@ func (s *Simulator) step() bool {
 		}
 		s.now = e.At
 		s.fired++
-		if s.tracer != nil && e.Label != "" {
-			s.tracer(s.now, e.Label)
-		}
 		if e.pooled {
 			// Recycle before firing: the callback may immediately
 			// schedule again and get this very event back.

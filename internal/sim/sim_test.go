@@ -196,19 +196,6 @@ func TestFiredCounterAndPending(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	s := New()
-	var seen []string
-	s.SetTracer(func(_ Time, label string) { seen = append(seen, label) })
-	s.At(1, "alpha", func() {})
-	s.At(2, "", func() {}) // unlabeled: not traced
-	s.At(3, "beta", func() {})
-	s.Run()
-	if len(seen) != 2 || seen[0] != "alpha" || seen[1] != "beta" {
-		t.Fatalf("tracer saw %v", seen)
-	}
-}
-
 func TestNextEventTime(t *testing.T) {
 	s := New()
 	if _, ok := s.NextEventTime(); ok {
