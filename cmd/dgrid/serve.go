@@ -27,6 +27,25 @@ type serveOpts struct {
 	resume  bool
 }
 
+// Connection timeouts of the daemon's listener: a client has
+// serveReadHeaderTimeout to send its request headers, and a keep-alive
+// connection idle for serveIdleTimeout is closed. There is no write
+// timeout, since it would cut the SSE stream of a long sweep.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer serves h on addr with the connection timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // parseServeArgs parses the serve command line.
 func parseServeArgs(args []string) (*serveOpts, error) {
 	fs := flag.NewFlagSet("dgrid serve", flag.ContinueOnError)
@@ -102,7 +121,7 @@ func cmdServe(args []string) error {
 		Resume:  o.resume,
 		Log:     log,
 	}
-	srv := &http.Server{Addr: o.addr, Handler: s.Handler()}
+	srv := newHTTPServer(o.addr, s.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

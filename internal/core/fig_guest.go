@@ -118,11 +118,19 @@ func fig2Sizes(cfg Config) []int {
 	return []int{matrix.Small, matrix.Large}
 }
 
+// fig2Capture captures the Matrix profile Figure 2 replays; tests swap
+// it to hand fig2Shard a product that fails verification.
+var fig2Capture = matrix.Profile
+
 // fig2Shard measures one matrix size under native and every guest
 // environment. The multiply is deterministic for a size, so environments
 // pair on a single capture.
 func fig2Shard(cfg Config, i int) (ShardPayload, error) {
-	prof, _ := matrix.Profile(cfg.Seed, fig2Sizes(cfg)[i], 1)
+	n := fig2Sizes(cfg)[i]
+	prof, run := fig2Capture(cfg.Seed, n, 1)
+	if !run.Verified {
+		return nil, fmt.Errorf("matrix product failed verification at n=%d", n)
+	}
 	return envWallSeconds(prof, cfg.Seed)
 }
 

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
+
+	"vmdg/internal/bench/matrix"
+	"vmdg/internal/cost"
 )
 
 // quickCfg is the configuration used by the reproduction tests: trimmed
@@ -58,6 +62,25 @@ func TestReproFigure2(t *testing.T) {
 		if res.Values[env.Name] >= fig1.Values[env.Name] {
 			t.Errorf("matrix slowdown %.3f not below 7z slowdown %.3f for %s",
 				res.Values[env.Name], fig1.Values[env.Name], env.Name)
+		}
+	}
+}
+
+func TestFig2ShardRejectsUnverifiedProduct(t *testing.T) {
+	orig := fig2Capture
+	t.Cleanup(func() { fig2Capture = orig })
+	fig2Capture = func(seed uint64, n, reps int) (*cost.Profile, matrix.Result) {
+		prof, res := orig(seed, n, reps)
+		if !res.Verified {
+			t.Fatalf("n=%d: the real product failed verification", n)
+		}
+		res.Verified = false
+		return prof, res
+	}
+	for shard := range fig2Def.Shards(quickCfg()) {
+		_, err := fig2Def.Run(quickCfg(), shard)
+		if err == nil || !strings.Contains(err.Error(), "failed verification") {
+			t.Fatalf("shard %d: err = %v, want a verification failure", shard, err)
 		}
 	}
 }

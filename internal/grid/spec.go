@@ -464,7 +464,27 @@ func ParseSpec(data []byte) (Spec, error) {
 	if sp.Version == 0 {
 		return Spec{}, fmt.Errorf("grid: spec has no version (current: %d)", SpecVersion)
 	}
+	// An empty list means "unset", as an absent field does, and JSON
+	// omits both; holding it as nil keeps ParseSpec(sp.JSON()) == sp.
+	sp.Envs = nilIfEmpty(sp.Envs)
+	sp.Machines = nilIfEmpty(sp.Machines)
+	sp.Minutes = nilIfEmpty(sp.Minutes)
+	sp.Churn = nilIfEmpty(sp.Churn)
+	sp.Policy = nilIfEmpty(sp.Policy)
+	sp.Replication = nilIfEmpty(sp.Replication)
+	sp.DeadlineMin = nilIfEmpty(sp.DeadlineMin)
+	sp.FaultyFrac = nilIfEmpty(sp.FaultyFrac)
+	sp.ChunksPerUnit = nilIfEmpty(sp.ChunksPerUnit)
+	sp.Migration = nilIfEmpty(sp.Migration)
+	sp.Bandwidth = nilIfEmpty(sp.Bandwidth)
 	return sp, nil
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // JSON renders the spec as indented JSON — the round-trip partner of
@@ -503,14 +523,24 @@ func parseIntList(list string) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		for v := lo; v <= hi; {
+		for v := lo; ; {
 			out = append(out, v)
 			if len(out) > MaxSweepPoints {
 				return nil, fmt.Errorf("range %q expands past %d values", item, MaxSweepPoints)
 			}
+			// Stop before a step that would pass hi. Neither test can
+			// overflow: v*step > hi iff v > hi/step (v and step are
+			// positive), and the distance hi-v fits a uint even where
+			// it does not fit an int.
 			if mul {
+				if v > hi/step {
+					break
+				}
 				v *= step
 			} else {
+				if uint(hi)-uint(v) < uint(step) {
+					break
+				}
 				v += step
 			}
 		}

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,21 +183,54 @@ func TestSpecValidateErrors(t *testing.T) {
 	}
 }
 
+// specSetAssigns are accepted -set assignments, applied in order to
+// one spec by TestSpecSet.
+var specSetAssigns = []string{
+	"policy=fifo, deadline",
+	"machines=64..256*2",
+	"minutes=10..30+10",
+	"churn=off,on",
+	"faulty=0,0.05",
+	"seed=9",
+	"quick=on",
+	"envs=vmplayer,qemu",
+	"name=from-sets",
+	"migration=none,on-departure,eager",
+	"bandwidth=100,1000",
+}
+
+// specSetRanges are integer ranges whose next step would pass the upper
+// bound or overflow an int: each stops before that step.
+var specSetRanges = []struct {
+	assign string
+	want   []int
+}{
+	{"machines=3..10*6148914691236517206", []int{3}},
+	{"machines=1..5+9223372036854775807", []int{1}},
+	{"machines=9223372036854775806..9223372036854775807", []int{math.MaxInt - 1, math.MaxInt}},
+	{"machines=-9223372036854775808..9223372036854775807+9223372036854775807",
+		[]int{math.MinInt, -1, math.MaxInt - 1}},
+	{"machines=4611686018427387904..9223372036854775807*2", []int{math.MaxInt/2 + 1}},
+}
+
+// specSetErrors are assignments Set rejects, each with a phrase its
+// error must contain.
+var specSetErrors = []struct{ assign, wantErr string }{
+	{"no-equals", "axis=value"},
+	{"color=red", "unknown axis"},
+	{"machines=many", "not an integer"},
+	{"machines=64..32", "descending"},
+	{"machines=1..1000000*1", "*k step"},
+	{"machines=1..100+0", "+k step"},
+	{"machines=1..100000", "expands past"},
+	{"churn=maybe", "not a boolean"},
+	{"seed=-1", "unsigned"},
+	{"faulty=lots", "not a number"},
+}
+
 func TestSpecSet(t *testing.T) {
 	var sp Spec
-	for _, assign := range []string{
-		"policy=fifo, deadline",
-		"machines=64..256*2",
-		"minutes=10..30+10",
-		"churn=off,on",
-		"faulty=0,0.05",
-		"seed=9",
-		"quick=on",
-		"envs=vmplayer,qemu",
-		"name=from-sets",
-		"migration=none,on-departure,eager",
-		"bandwidth=100,1000",
-	} {
+	for _, assign := range specSetAssigns {
 		if err := sp.Set(assign); err != nil {
 			t.Fatalf("Set(%q): %v", assign, err)
 		}
@@ -229,18 +263,17 @@ func TestSpecSet(t *testing.T) {
 		t.Fatalf("bandwidth = %v", sp.Bandwidth)
 	}
 
-	for _, tc := range []struct{ assign, wantErr string }{
-		{"no-equals", "axis=value"},
-		{"color=red", "unknown axis"},
-		{"machines=many", "not an integer"},
-		{"machines=64..32", "descending"},
-		{"machines=1..1000000*1", "*k step"},
-		{"machines=1..100+0", "+k step"},
-		{"machines=1..100000", "expands past"},
-		{"churn=maybe", "not a boolean"},
-		{"seed=-1", "unsigned"},
-		{"faulty=lots", "not a number"},
-	} {
+	for _, tc := range specSetRanges {
+		var sp Spec
+		if err := sp.Set(tc.assign); err != nil {
+			t.Fatalf("Set(%q): %v", tc.assign, err)
+		}
+		if !reflect.DeepEqual(sp.Machines, tc.want) {
+			t.Fatalf("Set(%q): machines = %v, want %v", tc.assign, sp.Machines, tc.want)
+		}
+	}
+
+	for _, tc := range specSetErrors {
 		err := sp.Set(tc.assign)
 		if err == nil {
 			t.Fatalf("Set(%q): accepted", tc.assign)
