@@ -29,6 +29,7 @@ type fleetOpts struct {
 	out     string
 	verbose bool
 	quiet   bool
+	cpuprof string
 }
 
 // parseFleetArgs parses and validates the fleet command line. Flag
@@ -61,6 +62,7 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 	out := fs.String("out", "", "also write fleet.json and fleet.csv artifacts to this directory")
 	verbose := fs.Bool("v", false, "log per-shard progress to stderr")
 	quiet := fs.Bool("quiet", false, "suppress progress and summary lines on stderr")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, err
@@ -116,6 +118,7 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 		out:     *out,
 		verbose: *verbose,
 		quiet:   *quiet,
+		cpuprof: *cpuprofile,
 	}, nil
 }
 
@@ -130,11 +133,16 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 // one-point sweep: same validation, same cache scoping, same engine
 // path, and `dgrid sweep -set axis=...` widens any of these flags into
 // a comparison without re-running this point.
-func cmdFleet(args []string) error {
+func cmdFleet(args []string) (err error) {
 	o, err := parseFleetArgs(args)
 	if err != nil {
 		return usageExit(err)
 	}
+	stop, err := startCPUProfile(o.cpuprof)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	runner, err := newRunner(o.workers, o.cache, o.resume, o.verbose)
 	if err != nil {
 		return err

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"compress/gzip"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -209,6 +212,59 @@ func TestParseQuietFlag(t *testing.T) {
 	}
 	if fo2, _ := parseFleetArgs(nil); fo2.quiet {
 		t.Fatal("fleet is quiet by default")
+	}
+}
+
+// TestParseCPUProfileFlag: -cpuprofile lands on fleet, sweep, and the
+// run flags shared by run and report, and is off by default.
+func TestParseCPUProfileFlag(t *testing.T) {
+	if fo, err := parseFleetArgs(nil); err != nil || fo.cpuprof != "" {
+		t.Fatalf("fleet default: %+v, %v", fo, err)
+	}
+	if fo, err := parseFleetArgs([]string{"-cpuprofile", "fleet.prof"}); err != nil || fo.cpuprof != "fleet.prof" {
+		t.Fatalf("fleet -cpuprofile: %+v, %v", fo, err)
+	}
+	if so, err := parseSweepArgs([]string{"-cpuprofile", "sweep.prof"}); err != nil || so.cpuprof != "sweep.prof" {
+		t.Fatalf("sweep -cpuprofile: %+v, %v", so, err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, ""},
+		{[]string{"-cpuprofile", "run.prof"}, "run.prof"},
+	} {
+		fs := flag.NewFlagSet("run", flag.ContinueOnError)
+		var rf runFlags
+		rf.register(fs)
+		if err := fs.Parse(tc.args); err != nil || rf.cpuprof != tc.want {
+			t.Fatalf("run flags %v: cpuprof %q (%v), want %q", tc.args, rf.cpuprof, err, tc.want)
+		}
+	}
+}
+
+// TestFleetWritesCPUProfile: a fleet run with -cpuprofile leaves a
+// complete profile behind: non-empty and gzip-framed, as pprof writes
+// it.
+func TestFleetWritesCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.prof")
+	err := cmdFleet([]string{"-machines", "16", "-minutes", "1", "-env", "vmplayer", "-quick",
+		"-cache", "off", "-quiet", "-json", "-cpuprofile", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzip-framed: %v", err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("profile body: %d bytes, %v", len(body), err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -21,6 +22,7 @@ type runFlags struct {
 	resume  bool
 	verbose bool
 	quiet   bool
+	cpuprof string
 }
 
 func (f *runFlags) register(fs *flag.FlagSet) {
@@ -32,6 +34,7 @@ func (f *runFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.resume, "resume", true, "journal fold progress and resume an interrupted identical run (needs the cache)")
 	fs.BoolVar(&f.verbose, "v", false, "log per-shard progress to stderr")
 	fs.BoolVar(&f.quiet, "quiet", false, "suppress progress and summary lines on stderr")
+	fs.StringVar(&f.cpuprof, "cpuprofile", "", "write a CPU profile of the run to this file")
 }
 
 func (f *runFlags) config() core.Config {
@@ -113,7 +116,7 @@ func summarize(stats engine.Stats) {
 
 // cmdRun executes experiments and prints their reports in registry
 // order.
-func cmdRun(args []string) error {
+func cmdRun(args []string) (err error) {
 	fs := flag.NewFlagSet("dgrid run", flag.ExitOnError)
 	var rf runFlags
 	rf.register(fs)
@@ -144,6 +147,11 @@ func cmdRun(args []string) error {
 	if names == "" {
 		names = "all"
 	}
+	stop, err := startCPUProfile(rf.cpuprof)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 
 	exps, err := engine.Default.Select(names)
 	if err != nil {
@@ -205,7 +213,7 @@ func cmdList(args []string) error {
 
 // cmdReport regenerates the paper-vs-measured markdown artifact from
 // every registered experiment.
-func cmdReport(args []string) error {
+func cmdReport(args []string) (err error) {
 	fs := flag.NewFlagSet("dgrid report", flag.ExitOnError)
 	var rf runFlags
 	rf.register(fs)
@@ -213,6 +221,11 @@ func cmdReport(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := startCPUProfile(rf.cpuprof)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	runner, err := rf.runner()
 	if err != nil {
 		return err

@@ -34,6 +34,7 @@ type sweepOpts struct {
 	out     string
 	verbose bool
 	quiet   bool
+	cpuprof string
 }
 
 // parseSweepArgs parses the sweep command line into a validated spec:
@@ -55,6 +56,7 @@ func parseSweepArgs(args []string) (*sweepOpts, error) {
 	out := fs.String("out", "", "also write sweep.json and sweep.csv artifacts to this directory")
 	verbose := fs.Bool("v", false, "log per-shard progress to stderr")
 	quiet := fs.Bool("quiet", false, "suppress progress and summary lines on stderr")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: dgrid sweep [-spec file.json] [-set axis=v1,v2,...] [flags]\n\n"+
 			"a spec describes a family of fleet scenarios; every multi-value axis is swept\n"+
@@ -107,6 +109,7 @@ func parseSweepArgs(args []string) (*sweepOpts, error) {
 		out:     *out,
 		verbose: *verbose,
 		quiet:   *quiet,
+		cpuprof: *cpuprofile,
 	}, nil
 }
 
@@ -117,11 +120,16 @@ func parseSweepArgs(args []string) (*sweepOpts, error) {
 // the swept axis values. Each point is its own cache scope, so
 // re-running a sweep with one axis widened simulates only the new
 // points.
-func cmdSweep(args []string) error {
+func cmdSweep(args []string) (err error) {
 	o, err := parseSweepArgs(args)
 	if err != nil {
 		return usageExit(err)
 	}
+	stop, err := startCPUProfile(o.cpuprof)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	sp := o.spec
 	exp, err := engine.NewSweep("sweep", "command-line scenario sweep", sp)
 	if err != nil {

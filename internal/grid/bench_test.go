@@ -1,6 +1,11 @@
 package grid
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"vmdg/internal/sim"
+)
 
 // benchScn is one full shard (ShardSize hosts) over a working day —
 // the unit the fleet benchmark harness scales up. Quick calibration
@@ -31,3 +36,42 @@ func benchRunShard(b *testing.B, scn Scenario) {
 
 func BenchmarkRunShardSteady(b *testing.B) { benchRunShard(b, benchScn(false)) }
 func BenchmarkRunShardChurn(b *testing.B)  { benchRunShard(b, benchScn(true)) }
+
+// BenchmarkDeadlineAssign times one Assign plus one Submit behind a
+// straggler: unit 0 went to a host that never returns, and 1k or 64k
+// units have been assigned and returned since. Every call comes before
+// the straggler's deadline, so each Assign mints a fresh unit; finding
+// that no unit is overdue should cost the same at both sizes. Every
+// `issued` operations the policy's books are rewound to the set-up
+// state off the clock, keeping their capacity, so they stay between one
+// and two times the set-up size and steady state allocates nothing.
+func BenchmarkDeadlineAssign(b *testing.B) {
+	for _, issued := range []int{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("issued=%dk", issued>>10), func(b *testing.B) {
+			p := newPolicy(Scenario{Policy: "deadline"}.Normalize(), "b", 1).(*deadlinePolicy)
+			cycle := func() {
+				wu := p.Assign(1, sim.Second)
+				p.Submit(1, wu, resultFor(wu), sim.Second)
+			}
+			setup := func() {
+				*p = deadlinePolicy{
+					gen: unitGen{seedBase: p.gen.seedBase, chunks: p.gen.chunks}, slack: p.slack,
+					units: p.units[:0], pending: p.pending[:0], expired: p.expired[:0],
+				}
+				p.Assign(0, 0) // the straggler
+				for range issued {
+					cycle()
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%issued == 0 {
+					b.StopTimer()
+					setup()
+					b.StartTimer()
+				}
+				cycle()
+			}
+		})
+	}
+}

@@ -93,6 +93,16 @@
 // agreement semantics — what quorum validation consumes — are
 // preserved.
 //
+// The deadline policy reissues the overdue unit with the lowest issue
+// index without scanning the outstanding set. Every (re)assignment
+// sets deadline = now + slack with a fixed slack and a call time that
+// never decreases, so assignment order is deadline order: a FIFO holds
+// the assigned units, expired ones move from its head into a min-heap
+// keyed by issue index, and the heap's top is the unit a scan in issue
+// order would pick (expired units are not in issue order among
+// themselves, so the heap cannot be a second FIFO). Done units are
+// skipped lazily.
+//
 // # Scenario families
 //
 // A Scenario describes one fleet; a Spec describes a family of them:

@@ -79,6 +79,22 @@ func TestGoldenFleetTables(t *testing.T) {
 		csv += fr.CSVRows(policy)
 	}
 	checkGolden(t, "fleet_policies.csv", csv)
+
+	// A 5-minute deadline expires units while their first holders are
+	// still computing, so reissues overlap and the order in which the
+	// deadline policy hands expired units back out shows in the results
+	// (the 30-minute default above cannot tell that order apart).
+	fr := runGolden(t, goldenDeadline5())
+	checkGolden(t, "fleet_deadline_5min.txt", fr.Render())
+	checkGolden(t, "fleet_deadline_5min.csv", CSVHeader()+fr.CSVRows("deadline 5min"))
+}
+
+// goldenDeadline5 is the canonical deadline scenario with a 5-minute
+// deadline.
+func goldenDeadline5() Scenario {
+	scn := goldenScn("deadline")
+	scn.DeadlineMin = 5
+	return scn
 }
 
 // TestGoldenMigrationTables pins the checkpoint-migration pipeline the
@@ -94,4 +110,14 @@ func TestGoldenMigrationTables(t *testing.T) {
 		csv += fr.MigCSVRows("migration " + mig)
 	}
 	checkGolden(t, "fleet_migrations.csv", csv)
+
+	// Deadline reissue beside on-departure migration: the migration
+	// queue drops a checkpoint whose unit a reissue already validated
+	// (Policy.Needed).
+	scn := goldenDeadline5()
+	scn.Migration = "on-departure"
+	fr := runGolden(t, scn)
+	checkGolden(t, "fleet_mig_on-departure_deadline_5min.txt", fr.Render())
+	checkGolden(t, "fleet_mig_deadline_5min.csv",
+		MigCSVHeader()+fr.MigCSVRows("migration on-departure deadline 5min"))
 }

@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -92,6 +93,20 @@ func TestValidateErrorTable(t *testing.T) {
 			append([]string{`unknown migration policy "live"`}, MigrationPolicies()...), false},
 		{"negative bandwidth", func(s *Scenario) { s.BandwidthMbps = -100 },
 			[]string{"bandwidth -100", "positive"}, false},
+		// Non-finite floats once ran every shard and then failed the
+		// JSON merge ("unsupported value: NaN").
+		{"faulty NaN", func(s *Scenario) { s.FaultyFrac = math.NaN() },
+			[]string{"faulty fraction NaN", "[0, 1]"}, false},
+		{"deadline NaN", func(s *Scenario) { s.DeadlineMin = math.NaN() },
+			[]string{"deadline NaN", "finite"}, false},
+		{"deadline +Inf", func(s *Scenario) { s.DeadlineMin = math.Inf(1) },
+			[]string{"deadline +Inf", "finite"}, false},
+		{"bandwidth NaN", func(s *Scenario) { s.BandwidthMbps = math.NaN() },
+			[]string{"bandwidth NaN", "finite"}, false},
+		{"bandwidth +Inf", func(s *Scenario) { s.BandwidthMbps = math.Inf(1) },
+			[]string{"bandwidth +Inf", "finite"}, false},
+		{"huge finite deadline", func(s *Scenario) { s.DeadlineMin = math.MaxFloat64 }, nil, true},
+		{"tiny finite bandwidth", func(s *Scenario) { s.BandwidthMbps = 5e-324 }, nil, true},
 		{"valid migration defaults bandwidth", func(s *Scenario) { s.Migration = "on-departure" }, nil, true},
 	} {
 		scn := Scenario{}
@@ -354,6 +369,48 @@ func TestDeadlinePolicyReissuesOverdueUnits(t *testing.T) {
 	}
 	if st.UnitsIssued != 2 || st.Assignments != 3 {
 		t.Fatalf("issue accounting wrong: %+v", st)
+	}
+}
+
+// overflowScn is the small churning fleet the end-of-time regressions
+// run: 64 hosts on vmplayer for an hour.
+func overflowScn() Scenario {
+	return Scenario{
+		Machines: 64, Minutes: 60, Seed: 1, Quick: true, Churn: true,
+		FaultyFrac: 0.02, Envs: []string{"vmplayer"},
+	}.Normalize()
+}
+
+// TestHugeUnitNeverCompletes: a unit of 10^15 chunks completes long
+// after the end of sim.Time. Its predicted completion once wrapped to
+// MinInt64, and formatting the scheduling panic recursed until the
+// stack overflowed. Such a unit now simply never completes.
+func TestHugeUnitNeverCompletes(t *testing.T) {
+	for _, policy := range Policies() {
+		scn := overflowScn()
+		scn.Policy = policy
+		scn.ChunksPerUnit = 1_000_000_000_000_000
+		st := runGolden(t, scn).Envs[0]
+		if st.Policy.Assignments == 0 || st.Policy.Returned != 0 {
+			t.Errorf("%s: %d assigned, %d returned; want work handed out and none finished",
+				policy, st.Policy.Assignments, st.Policy.Returned)
+		}
+	}
+}
+
+// TestTinyBandwidthNeverDrains: at 1e-9 Mbit/s a checkpoint upload
+// drains past the end of sim.Time. The wrapped drain instant once
+// panicked the shard ("scheduling event "xfer-drain" at -9223371667s
+// before now"); the upload now never finishes, so nothing migrates and
+// the fleet otherwise runs as usual.
+func TestTinyBandwidthNeverDrains(t *testing.T) {
+	scn := overflowScn()
+	scn.Migration = "on-departure"
+	scn.BandwidthMbps = 1e-9
+	st := runGolden(t, scn).Envs[0]
+	if st.Evictions == 0 || st.Migrations != 0 || st.MigRxBytes != 0 || st.Policy.Validated == 0 {
+		t.Fatalf("evictions %d, migrations %d, rx %d B, validated %d; want departures and no migration",
+			st.Evictions, st.Migrations, st.MigRxBytes, st.Policy.Validated)
 	}
 }
 

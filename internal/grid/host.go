@@ -162,7 +162,8 @@ func (s *hostSlab) scheduleCompletion(i int32, now sim.Time) {
 	if remaining < 0 {
 		remaining = 0
 	}
-	eta := now + sim.FromSeconds(remaining/s.rate(i))
+	// A unit too big to finish before the end of time never completes.
+	eta := sim.AddSeconds(now, remaining/s.rate(i))
 	if !s.env.sim.Reschedule(s.completion[i], eta) {
 		s.completion[i] = s.env.sim.Schedule(eta, "complete", (*completeArm)(s.arm(i)))
 	}

@@ -85,10 +85,13 @@ func newPolicy(scn Scenario, prefix string, seedBase uint64) Policy {
 	case "fifo":
 		return &fifoPolicy{gen: gen}
 	case "deadline":
+		// A deadline past every valid horizon never expires, so capping
+		// it just beyond MaxMinutes changes no result. It also keeps
+		// now + slack from wrapping, which deadlinePolicy's FIFO needs:
+		// deadlines must never fall as assignment time rises.
 		return &deadlinePolicy{
-			gen:    gen,
-			slack:  sim.FromSeconds(scn.DeadlineMin * 60),
-			bySeed: map[uint64]*deadlineUnit{},
+			gen:   gen,
+			slack: sim.FromSeconds(min(scn.DeadlineMin, 2*MaxMinutes) * 60),
 		}
 	case "replication":
 		return &quorumPolicy{
@@ -115,8 +118,12 @@ type unitGen struct {
 }
 
 func (g *unitGen) gen() boinc.WorkUnit {
-	i := g.next
 	g.next++
+	return g.unit(g.next - 1)
+}
+
+// unit rebuilds the i-th unit the generator minted.
+func (g *unitGen) unit(i int) boinc.WorkUnit {
 	return boinc.WorkUnit{
 		Seed:            g.seedBase + uint64(i),
 		Chunks:          g.chunks,
@@ -177,7 +184,6 @@ func (p *fifoPolicy) Stats() PolicyStats {
 // deadlineUnit is one unit's server-side record under the deadline
 // policy.
 type deadlineUnit struct {
-	wu       boinc.WorkUnit
 	deadline sim.Time
 	done     bool
 }
@@ -185,42 +191,115 @@ type deadlineUnit struct {
 // deadlinePolicy stamps every assignment with a deadline and reissues
 // overdue units before minting fresh ones, so work held by churned-off
 // volunteers is not lost — at the cost of duplicate results when the
-// original host eventually returns. Units are keyed by their seed (the
-// elided-ID identity, see unitGen).
+// original host eventually returns.
+//
+// Assign hands out the overdue unit with the lowest issue index, and
+// finds it without scanning the outstanding set. Every (re)assignment
+// sets deadline = now + slack with a fixed slack and a call time that
+// never decreases, so assignment order is deadline order: a FIFO holds
+// the units whose deadline has not passed, and Assign moves its expired
+// head into a min-heap keyed by issue index. The heap's top is the unit
+// a scan in issue order would pick. Done units are skipped lazily, and
+// a unit that is not done has at most one live entry across the two
+// queues: it enters the FIFO when (re)assigned, leaves it only when its
+// deadline passes, and is reassigned only from the top of the heap.
 type deadlinePolicy struct {
-	gen    unitGen
-	slack  sim.Time
-	units  []*deadlineUnit // issue order
-	bySeed map[uint64]*deadlineUnit
-	scan   int // units[:scan] are all done
-	st     PolicyStats
+	gen   unitGen
+	slack sim.Time
+	// units is indexed by issue index, seed − seedBase (see unitGen).
+	units []deadlineUnit
+	// pending[head:] holds the issue indices of assigned units in
+	// deadline order; expired is a min-heap of issue indices whose
+	// deadline has passed.
+	pending []int
+	head    int
+	expired []int
+	st      PolicyStats
 }
 
 func (p *deadlinePolicy) Name() string { return "deadline" }
 
 func (p *deadlinePolicy) Assign(host int, now sim.Time) boinc.WorkUnit {
-	for p.scan < len(p.units) && p.units[p.scan].done {
-		p.scan++
-	}
-	for _, u := range p.units[p.scan:] {
-		if !u.done && u.deadline <= now {
-			u.deadline = now + p.slack
-			p.st.Assignments++
-			return u.wu
+	for p.head < len(p.pending) {
+		i := p.pending[p.head]
+		if p.units[i].deadline > now {
+			break
+		}
+		p.head++
+		if !p.units[i].done {
+			p.pushExpired(i)
 		}
 	}
+	if p.head > len(p.pending)/2 {
+		p.pending = p.pending[:copy(p.pending, p.pending[p.head:])]
+		p.head = 0
+	}
+	for len(p.expired) > 0 {
+		i := p.popExpired()
+		if p.units[i].done {
+			continue
+		}
+		p.units[i].deadline = now + p.slack
+		p.pending = append(p.pending, i)
+		p.st.Assignments++
+		return p.gen.unit(i)
+	}
+	i := p.gen.next
 	wu := p.gen.gen()
-	u := &deadlineUnit{wu: wu, deadline: now + p.slack}
-	p.units = append(p.units, u)
-	p.bySeed[wu.Seed] = u
+	p.units = append(p.units, deadlineUnit{deadline: now + p.slack})
+	p.pending = append(p.pending, i)
 	p.st.UnitsIssued++
 	p.st.Assignments++
 	return wu
 }
 
+// pushExpired adds issue index i to the expired heap.
+func (p *deadlinePolicy) pushExpired(i int) {
+	h := append(p.expired, i)
+	j := len(h) - 1
+	for j > 0 {
+		parent := (j - 1) / 2
+		if h[parent] <= i {
+			break
+		}
+		h[j] = h[parent]
+		j = parent
+	}
+	h[j] = i
+	p.expired = h
+}
+
+// popExpired removes and returns the lowest issue index in the expired
+// heap.
+func (p *deadlinePolicy) popExpired() int {
+	h := p.expired
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	j := 0
+	for {
+		c := 2*j + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if last <= h[c] {
+			break
+		}
+		h[j] = h[c]
+		j = c
+	}
+	if len(h) > 0 {
+		h[j] = last
+	}
+	p.expired = h
+	return top
+}
+
 func (p *deadlinePolicy) Submit(host int, wu boinc.WorkUnit, result int, now sim.Time) {
 	p.st.Returned++
-	u := p.bySeed[wu.Seed]
+	u := &p.units[wu.Seed-p.gen.seedBase]
 	if u.done {
 		p.st.Duplicates++
 		return
@@ -233,10 +312,11 @@ func (p *deadlinePolicy) Submit(host int, wu boinc.WorkUnit, result int, now sim
 }
 
 // Needed: a reissued unit may have been validated by its rescuer
-// while the original checkpoint sat in the migration queue.
+// while the original checkpoint sat in the migration queue. A seed this
+// policy never issued is needed, as it is under every policy.
 func (p *deadlinePolicy) Needed(wu boinc.WorkUnit) bool {
-	u := p.bySeed[wu.Seed]
-	return u == nil || !u.done
+	i := wu.Seed - p.gen.seedBase
+	return i >= uint64(len(p.units)) || !p.units[i].done
 }
 
 func (p *deadlinePolicy) Stats() PolicyStats {

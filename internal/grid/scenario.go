@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -156,8 +157,12 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("grid: unknown environment %q (valid: %s)", env, strings.Join(valid, ", "))
 		}
 	}
-	if s.FaultyFrac < 0 || s.FaultyFrac > 1 {
+	// The float comparisons below are written so that NaN fails them.
+	if !(s.FaultyFrac >= 0 && s.FaultyFrac <= 1) {
 		return fmt.Errorf("grid: faulty fraction %g outside [0, 1]", s.FaultyFrac)
+	}
+	if !(s.DeadlineMin > 0 && s.DeadlineMin <= math.MaxFloat64) {
+		return fmt.Errorf("grid: deadline %g minutes must be finite and positive", s.DeadlineMin)
 	}
 	if s.Machines > MaxMachines {
 		return fmt.Errorf("grid: %d machines outside [1, %d]", s.Machines, MaxMachines)
@@ -180,8 +185,8 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("grid: unknown migration policy %q (valid: %s)",
 			s.Migration, strings.Join(MigrationPolicies(), ", "))
 	}
-	if s.BandwidthMbps < 0 {
-		return fmt.Errorf("grid: bandwidth %g Mbit/s must be positive", s.BandwidthMbps)
+	if !(s.BandwidthMbps > 0 && s.BandwidthMbps <= math.MaxFloat64) {
+		return fmt.Errorf("grid: bandwidth %g Mbit/s must be finite and positive", s.BandwidthMbps)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -54,12 +55,27 @@ var intAxes = map[string]func(*Spec) []int{
 	"chunks_per_unit": func(sp *Spec) []int { return sp.ChunksPerUnit },
 }
 
+// floatAxes reads each float axis.
+var floatAxes = map[string]func(*Spec) []float64{
+	"deadline_min": func(sp *Spec) []float64 { return sp.DeadlineMin },
+	"faulty":       func(sp *Spec) []float64 { return sp.FaultyFrac },
+	"bandwidth":    func(sp *Spec) []float64 { return sp.Bandwidth },
+}
+
 // FuzzSpecSet feeds arbitrary assignments to Spec.Set. It must never
 // panic, and an integer axis it accepts must hold, for each comma item,
 // values inside that item's [lo, hi] in strictly increasing order:
-// exactly the values an overflow-free expansion of the item gives.
+// exactly the values an overflow-free expansion of the item gives. A
+// float axis it accepts may hold any value strconv parses, but the spec
+// must then pass Validate only if every value is finite.
 func FuzzSpecSet(f *testing.F) {
 	for _, assign := range specSetAssigns {
+		f.Add(assign)
+	}
+	for _, assign := range []string{
+		"deadline_min=NaN", "deadline_min=+Inf,5", "deadline_min=1e300", "faulty=NaN",
+		"faulty=-Inf", "bandwidth=1e-9", "bandwidth=Infinity", "bandwidth=nan,100",
+	} {
 		f.Add(assign)
 	}
 	for _, tc := range specSetRanges {
@@ -74,6 +90,17 @@ func FuzzSpecSet(f *testing.F) {
 			return
 		}
 		name, list, _ := strings.Cut(assign, "=")
+		if axis, ok := floatAxes[strings.TrimSpace(name)]; ok {
+			if sp.Validate() != nil {
+				return
+			}
+			for _, v := range axis(&sp) {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("Set(%q): spec with %s value %g passes Validate", assign, name, v)
+				}
+			}
+			return
+		}
 		axis, ok := intAxes[strings.TrimSpace(name)]
 		if !ok {
 			return

@@ -179,7 +179,8 @@ func (n *Network) reflow() {
 	n.assignRates()
 	now := n.s.Now()
 	for _, t := range n.active {
-		eta := now + sim.FromSeconds(t.remaining/t.rate)
+		// A drain past the end of time (a vanishing share) never fires.
+		eta := sim.AddSeconds(now, t.remaining/t.rate)
 		if !n.s.Reschedule(t.h, eta) {
 			t.h = n.s.Schedule(eta, "xfer-drain", (*xferArm)(t))
 		}

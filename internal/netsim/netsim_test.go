@@ -189,6 +189,31 @@ func TestDeterministicReplay(t *testing.T) {
 
 const time900 = 900 * sim.Millisecond
 
+// TestDrainPastEndOfTimeNeverFires: a share so small that the drain
+// instant passes the end of sim.Time once panicked the event loop (the
+// wrapped instant lay before now). The drain now waits at MaxTime, and
+// a bounded run simply ends with the transfer in flight.
+func TestDrainPastEndOfTimeNeverFires(t *testing.T) {
+	s := sim.New()
+	s.RunUntil(369 * sim.Second)
+	n := New(s, Config{AggregateBps: 1e-9 * mbps})
+	r := &recorder{}
+	slow := n.Start(64<<20, 100*mbps, r)
+	// A byte-sized transfer joins and drains within the horizon; each
+	// membership change reschedules the slow drain.
+	tiny := n.Start(1, 100*mbps, r)
+	s.RunUntil(480 * 60 * sim.Second)
+	if len(r.done) != 1 || r.done[0].t != tiny {
+		t.Fatalf("%d completions, want only the byte-sized transfer", len(r.done))
+	}
+	if !slow.Active() || slow.Remaining() == 0 {
+		t.Fatalf("slow transfer drained (remaining %d)", slow.Remaining())
+	}
+	if at, ok := s.NextEventTime(); !ok || at != sim.MaxTime {
+		t.Fatalf("next event at %v (%v), want MaxTime", at, ok)
+	}
+}
+
 func TestStartRejectsDegenerateTransfers(t *testing.T) {
 	s := sim.New()
 	n := New(s, Config{AggregateBps: 8 * mbps})

@@ -397,6 +397,12 @@ func TestBadRequests(t *testing.T) {
 		`{"unknown_field":1}`,
 		`{"set":["nosuchaxis=1"]}`,
 		`{"spec":{"version":1,"machines":[-5]}}`,
+		// Non-finite floats are rejected before any shard runs.
+		`{"set":["deadline_min=NaN"]}`,
+		`{"set":["deadline_min=+Inf"]}`,
+		`{"set":["faulty=NaN"]}`,
+		`{"set":["bandwidth=NaN"]}`,
+		`{"set":["bandwidth=+Inf"]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -410,6 +416,31 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error == "" {
 			t.Errorf("POST %q = %s (decode err %v), want 400 with a JSON error", body, resp.Status, err)
 		}
+	}
+}
+
+// TestEndOfTimeSweepLeavesDaemonUp: at 1e-9 Mbit/s a checkpoint upload
+// drains past the end of virtual time. Its wrapped drain instant once
+// panicked a pool worker, and with it the whole daemon. The request
+// must now get its answer, and the daemon must keep serving.
+func TestEndOfTimeSweepLeavesDaemonUp(t *testing.T) {
+	ts, _ := newServer(t, 0, nil)
+	body := `{"quick":true,"set":["bandwidth=1e-9"],"spec":{"version":1,"envs":["vmplayer"],` +
+		`"machines":[64],"minutes":[60],"churn":[true],"migration":["on-departure"]}}`
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res serve.SweepResult
+	err = json.NewDecoder(resp.Body).Decode(&res)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || res.Stats.Misses == 0 {
+		t.Fatalf("POST = %s (decode err %v, stats %+v), want 200 with computed shards", resp.Status, err, res.Stats)
+	}
+	var h serve.Health
+	getJSON(t, ts.URL+"/healthz", &h)
+	if h.Status != "ok" {
+		t.Fatalf("healthz after the sweep = %+v", h)
 	}
 }
 

@@ -27,6 +27,61 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
+// TestTimeStringMinTime: the most negative Time has no positive
+// counterpart, so negating it to format the magnitude recursed forever.
+func TestTimeStringMinTime(t *testing.T) {
+	if got, want := Time(math.MinInt64).String(), "-9223372036.854776s"; got != want {
+		t.Fatalf("Time(MinInt64).String() = %q, want %q", got, want)
+	}
+}
+
+// TestAddSecondsSaturates: a delay that carries now past the end of
+// Time lands exactly at MaxTime instead of wrapping into the past.
+func TestAddSecondsSaturates(t *testing.T) {
+	for _, c := range []struct {
+		t Time
+		s float64
+	}{
+		{0, 1e10},
+		{0, 1e300},
+		{0, math.Inf(1)},
+		{0, math.NaN()},
+		{369 * Second, 9.223372e9},
+		{MaxTime - Second, 1},
+		{MaxTime, 1e-9},
+	} {
+		if got := AddSeconds(c.t, c.s); got != MaxTime {
+			t.Errorf("AddSeconds(%d, %g) = %d, want MaxTime", int64(c.t), c.s, int64(got))
+		}
+	}
+	if got := AddSeconds(MaxTime-Second, 0.999999999); got != MaxTime-1 {
+		t.Errorf("last representable sum = %d, want MaxTime-1", int64(got))
+	}
+	if got := AddSeconds(MaxTime, 0); got != MaxTime {
+		t.Errorf("AddSeconds(MaxTime, 0) = %d", int64(got))
+	}
+}
+
+// TestAddSecondsMatchesFromSeconds: every sum that fits is the plain
+// t + FromSeconds(s), bit for bit, across the whole delay range.
+func TestAddSecondsMatchesFromSeconds(t *testing.T) {
+	rng := NewRNG(7)
+	for i := 0; i < 100_000; i++ {
+		s := math.Ldexp(rng.Float64(), rng.Intn(64)-30) // 2^-30 .. 2^33 s
+		now := Time(rng.Uint64() >> (1 + rng.Intn(63)))
+		want := FromSeconds(s)
+		if want > MaxTime-now || s*float64(Second)+0.5 >= 1<<63 {
+			continue
+		}
+		if got := AddSeconds(now, s); got != now+want {
+			t.Fatalf("AddSeconds(%d, %g) = %d, want %d", int64(now), s, int64(got), int64(now+want))
+		}
+	}
+	if got := AddSeconds(5*Second, -2); got != 3*Second {
+		t.Fatalf("negative delay: AddSeconds(5s, -2) = %v", got)
+	}
+}
+
 func TestFromSecondsRoundTrip(t *testing.T) {
 	for _, s := range []float64{0, 1, 0.5, 1e-9, 3.25, 1e4} {
 		got := FromSeconds(s).Seconds()

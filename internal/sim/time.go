@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -19,6 +20,10 @@ const (
 	Second           = 1000 * Millisecond
 )
 
+// MaxTime is the last instant Time can represent. An event scheduled
+// there lies past the horizon of every RunUntil short of MaxTime.
+const MaxTime Time = math.MaxInt64
+
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -28,6 +33,8 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 // String formats the time with adaptive units for logs and traces.
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64: // has no positive counterpart to negate into
+		return fmt.Sprintf("%.6fs", t.Seconds())
 	case t < 0:
 		return fmt.Sprintf("-%v", -t)
 	case t < Microsecond:
@@ -48,6 +55,26 @@ func FromSeconds(s float64) Time {
 		return -FromSeconds(-s)
 	}
 	return Time(s*float64(Second) + 0.5)
+}
+
+// AddSeconds returns t + FromSeconds(s) for a delay s >= 0, saturating
+// at MaxTime when the sum passes the end of Time (including s = +Inf or
+// NaN). Every sum that fits is bit-identical to t + FromSeconds(s).
+// Schedulers use it for predicted instants that a degenerate rate can
+// push arbitrarily far out: such an event lands at MaxTime, past the
+// run's horizon, instead of wrapping into the past.
+func AddSeconds(t Time, s float64) Time {
+	if s < 0 {
+		return t + FromSeconds(s)
+	}
+	ns := s*float64(Second) + 0.5 // FromSeconds' rounding
+	if !(ns < 1<<63) {
+		return MaxTime
+	}
+	if d := Time(ns); t <= MaxTime-d {
+		return t + d
+	}
+	return MaxTime
 }
 
 // FromDuration converts a time.Duration to a Time delta.
