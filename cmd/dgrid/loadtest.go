@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -24,12 +23,6 @@ type loadtestOpts struct {
 	cache    string
 	workers  int
 	maxRuns  int
-	quick    bool
-	out      string
-
-	check     bool
-	baseline  string
-	tolerance float64
 }
 
 // parseLoadtestArgs parses the loadtest command line.
@@ -45,11 +38,7 @@ func parseLoadtestArgs(args []string) (*loadtestOpts, error) {
 	cache := fs.String("cache", "", "in-process daemon's cache dir (default: a fresh temp dir, guaranteeing a cold start)")
 	workers := fs.Int("workers", 0, "in-process daemon's worker pool (0 = GOMAXPROCS)")
 	maxRuns := fs.Int("max-runs", 0, "in-process daemon's admission bound (0 = 2× workers)")
-	quick := fs.Bool("quick", false, "reduced smoke shape: 2 requests/client over a 4-spec mix")
-	out := fs.String("out", "", "merge the serve section into this bench artifact (e.g. BENCH_fleet.json)")
-	check := fs.Bool("check", false, "gate against -baseline's serve section instead of writing an artifact")
-	baseline := fs.String("baseline", "BENCH_fleet.json", "committed artifact -check compares against")
-	tolerance := fs.Float64("tolerance", 0.10, "fractional warm-p99 regression -check tolerates")
+	quick := fs.Bool("quick", false, "reduced smoke shape: 2 requests/client over a 4-spec mix, unless -requests or -specs is given")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: dgrid loadtest [flags]\n\n"+
 			"drive a serve daemon with a fleet of concurrent clients over an overlapping\n"+
@@ -72,8 +61,7 @@ func parseLoadtestArgs(args []string) (*loadtestOpts, error) {
 	o := &loadtestOpts{
 		clients: *clients, requests: *requests, specs: *specs, sse: *sse,
 		seed: *seed, retries: *retries, addr: *addr, cache: *cache,
-		workers: *workers, maxRuns: *maxRuns, quick: *quick, out: *out,
-		check: *check, baseline: *baseline, tolerance: *tolerance,
+		workers: *workers, maxRuns: *maxRuns,
 	}
 	if o.clients < 1 || o.requests < 1 || o.specs < 1 {
 		return nil, fmt.Errorf("%w: -clients, -requests, and -specs must be positive", errUsage)
@@ -81,27 +69,48 @@ func parseLoadtestArgs(args []string) (*loadtestOpts, error) {
 	if o.sse < 0 || o.sse > 1 {
 		return nil, fmt.Errorf("%w: -sse %g outside [0, 1]", errUsage, o.sse)
 	}
-	if o.tolerance < 0 {
-		return nil, fmt.Errorf("%w: -tolerance must be non-negative", errUsage)
+	if o.retries < 0 {
+		return nil, fmt.Errorf("%w: -retries must be non-negative", errUsage)
 	}
-	if o.quick {
-		if o.requests == 5 {
+	if *quick {
+		given := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		if !given["requests"] {
 			o.requests = 2
 		}
-		if o.specs == 8 {
+		if !given["specs"] {
 			o.specs = 4
 		}
 	}
 	return o, nil
 }
 
+// config is the loadgen configuration for these options against base.
+// loadgen reads a zero SSEFraction or MaxRetries as its default, so an
+// explicit 0 goes over as its negative spelling.
+func (o *loadtestOpts) config(base string) loadgen.Config {
+	cfg := loadgen.Config{
+		BaseURL:     base,
+		Clients:     o.clients,
+		Requests:    o.requests,
+		Specs:       loadgen.DefaultSpecMix(o.specs),
+		SSEFraction: o.sse,
+		Seed:        o.seed,
+		MaxRetries:  o.retries,
+	}
+	if cfg.SSEFraction == 0 {
+		cfg.SSEFraction = -1
+	}
+	if cfg.MaxRetries == 0 {
+		cfg.MaxRetries = -1
+	}
+	return cfg
+}
+
 // cmdLoadtest runs the load-generation harness (internal/loadgen)
 // against a serve daemon and reports latency percentiles per outcome
-// class plus the accounting cross-check verdict. -out merges the
-// measurement into the bench artifact as its "serve" section; -check
-// instead gates the run against the committed artifact — any failed
-// request, any accounting mismatch, or a warm-p99 more than -tolerance
-// above the committed one fails the command.
+// class plus the accounting cross-check verdict. Any failed request or
+// accounting mismatch fails the command.
 func cmdLoadtest(args []string) error {
 	o, err := parseLoadtestArgs(args)
 	if err != nil {
@@ -127,15 +136,6 @@ func cmdLoadtest(args []string) error {
 		base = url
 	}
 
-	cfg := loadgen.Config{
-		BaseURL:     base,
-		Clients:     o.clients,
-		Requests:    o.requests,
-		Specs:       loadgen.DefaultSpecMix(o.specs),
-		SSEFraction: o.sse,
-		Seed:        o.seed,
-		MaxRetries:  o.retries,
-	}
 	where := "in-process daemon"
 	if o.addr != "" {
 		where = o.addr
@@ -143,25 +143,15 @@ func cmdLoadtest(args []string) error {
 	fmt.Fprintf(os.Stderr, "dgrid: loadtest %d clients × %d requests (%d-spec mix, sse %.2f) against %s\n",
 		o.clients, o.requests, o.specs, o.sse, where)
 
-	rep, err := loadgen.Run(context.Background(), cfg)
+	rep, err := loadgen.Run(context.Background(), o.config(base))
 	if err != nil {
 		return err
 	}
 	printLoadReport(rep)
-
-	if o.check {
-		return loadtestGate(rep, o.baseline, o.tolerance)
-	}
-	if o.out != "" {
-		if err := writeServeSection(o.out, rep); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "dgrid: serve section written to %s\n", o.out)
-	}
 	return rep.Check()
 }
 
-// printLoadReport renders the human summary on stderr, artifact-free.
+// printLoadReport renders the human summary on stderr.
 func printLoadReport(r *loadgen.Report) {
 	fmt.Fprintf(os.Stderr, "dgrid: loadtest done in %.2fs — %.0f req/s over %d requests (daemon: %d workers, %d max runs)\n",
 		r.ElapsedSec, r.RequestsPerSec, r.Requests, r.Workers, r.MaxRuns)
@@ -188,62 +178,4 @@ func printLoadReport(r *loadgen.Report) {
 		"  accounting [%s]: Σmisses %d vs %d new cache entries; admitted %d = completed %d + canceled %d + failed %d; rejected %d; runs drained %v, locks drained %v\n",
 		verdict, a.SumMisses, a.NewCacheEntries, a.Admitted, a.Completed, a.Canceled, a.FailedRuns,
 		a.Rejected, a.ActiveRunsDrained, a.RunLocksDrained)
-}
-
-// loadtestGate is the serve-path regression gate: the hard invariants
-// first (zero failures, accounting holds), then the latency SLO — the
-// measured warm p99 may not regress more than tolerance above the
-// committed artifact's. Warm is the gated class because it is the
-// daemon's steady state and the least noisy: cold depends on shard
-// compute cost, rejected on backoff luck.
-func loadtestGate(rep *loadgen.Report, baselinePath string, tolerance float64) error {
-	if err := rep.Check(); err != nil {
-		return err
-	}
-	base, err := readBenchBaseline(baselinePath)
-	if err != nil {
-		return err
-	}
-	if base.Serve == nil || base.Serve.Warm.P99Ms <= 0 {
-		return fmt.Errorf("loadtest: baseline %s has no serve section to gate against (run `dgrid loadtest -out %s` first)",
-			baselinePath, baselinePath)
-	}
-	committed := base.Serve.Warm.P99Ms
-	ceiling := committed * (1 + tolerance)
-	fmt.Fprintf(os.Stderr, "dgrid: loadtest check: warm p99 %.2fms vs committed %.2fms (ceiling %.2fms at %.0f%% tolerance)\n",
-		rep.Warm.P99Ms, committed, ceiling, tolerance*100)
-	if rep.Warm.Count == 0 {
-		return fmt.Errorf("loadtest: no warm requests measured; nothing to gate")
-	}
-	if rep.Warm.P99Ms > ceiling {
-		return fmt.Errorf("loadtest: regression: warm p99 %.2fms is %.1f%% above the committed %.2fms (ceiling %.2fms at %.0f%% tolerance)",
-			rep.Warm.P99Ms, (rep.Warm.P99Ms/committed-1)*100, committed, ceiling, tolerance*100)
-	}
-	return nil
-}
-
-// writeServeSection merges the load report into the bench artifact as
-// its "serve" section, preserving every other committed measurement.
-// A missing artifact gets a serve-only document rather than a fully
-// zeroed benchResult, so reduced CI runs can write standalone files.
-func writeServeSection(path string, rep *loadgen.Report) error {
-	res, err := readBenchBaseline(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-		b, err := json.MarshalIndent(struct {
-			Serve *loadgen.Report `json:"serve"`
-		}{rep}, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, append(b, '\n'), 0o644)
-	}
-	res.Serve = rep
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"errors"
 	"strings"
 	"testing"
-
-	"vmdg/internal/loadgen"
 )
 
 func TestParseLoadtestArgs(t *testing.T) {
@@ -19,22 +15,40 @@ func TestParseLoadtestArgs(t *testing.T) {
 	}{
 		{name: "defaults", args: nil,
 			check: func(o *loadtestOpts) bool {
+				cfg := o.config("")
 				return o.clients == 200 && o.requests == 5 && o.specs == 8 &&
-					o.sse == 0.5 && o.tolerance == 0.10 && !o.check && o.out == ""
+					o.sse == 0.5 && o.retries == 100 &&
+					cfg.SSEFraction == 0.5 && cfg.MaxRetries == 100
 			}},
 		{name: "quick reduces shape", args: []string{"-quick"},
 			check: func(o *loadtestOpts) bool { return o.requests == 2 && o.specs == 4 }},
 		{name: "quick keeps explicit shape", args: []string{"-quick", "-requests", "7", "-specs", "3"},
 			check: func(o *loadtestOpts) bool { return o.requests == 7 && o.specs == 3 }},
-		{name: "check flags", args: []string{"-check", "-baseline", "B.json", "-tolerance", "0.5"},
+		// An explicit value equal to the flag's default is still explicit.
+		{name: "quick keeps explicit default values", args: []string{"-quick", "-requests", "5", "-clients", "3"},
+			check: func(o *loadtestOpts) bool { return o.clients == 3 && o.requests == 5 && o.specs == 4 }},
+		{name: "sse zero streams nothing",
+			args: []string{"-clients", "4", "-requests", "3", "-specs", "2", "-quick", "-sse", "0"},
 			check: func(o *loadtestOpts) bool {
-				return o.check && o.baseline == "B.json" && o.tolerance == 0.5
+				return o.sse == 0 && o.requests == 3 && o.specs == 2 && o.config("").SSEFraction < 0
+			}},
+		{name: "retries zero fails on first 429",
+			args: []string{"-clients", "20", "-requests", "2", "-specs", "2", "-workers", "1", "-max-runs", "1", "-retries", "0"},
+			check: func(o *loadtestOpts) bool {
+				return o.retries == 0 && o.workers == 1 && o.maxRuns == 1 && o.config("").MaxRetries < 0
 			}},
 		{name: "addr", args: []string{"-addr", "http://127.0.0.1:8787"},
 			check: func(o *loadtestOpts) bool { return o.addr == "http://127.0.0.1:8787" }},
 		{name: "zero clients", args: []string{"-clients", "0"}, wantErr: "must be positive"},
 		{name: "sse out of range", args: []string{"-sse", "1.5"}, wantErr: "outside [0, 1]"},
-		{name: "negative tolerance", args: []string{"-tolerance", "-1"}, wantErr: "non-negative"},
+		{name: "negative retries", args: []string{"-retries", "-3"}, wantErr: "-retries must be non-negative"},
+		// loadtest writes no artifact and gates no latency: these flags are usage errors.
+		{name: "check flags", args: []string{"-check", "-baseline", "B.json", "-tolerance", "0.5"},
+			wantErr: "flag provided but not defined: -check"},
+		{name: "negative tolerance", args: []string{"-tolerance", "-1"},
+			wantErr: "flag provided but not defined: -tolerance"},
+		{name: "out", args: []string{"-out", "serve.json"},
+			wantErr: "flag provided but not defined: -out"},
 		{name: "positional junk", args: []string{"extra"}, wantErr: "unexpected arguments"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,6 +56,9 @@ func TestParseLoadtestArgs(t *testing.T) {
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want contains %q", err, tc.wantErr)
+				}
+				if tc.wantErr != "unexpected arguments" && !errors.Is(err, errUsage) {
+					t.Errorf("err = %v, want a usage error (exit 2)", err)
 				}
 				return
 			}
@@ -52,139 +69,5 @@ func TestParseLoadtestArgs(t *testing.T) {
 				t.Errorf("parsed opts = %+v", o)
 			}
 		})
-	}
-}
-
-// cleanLoadReport is a report that passes the hard half of the gate.
-func cleanLoadReport(warmP99 float64) *loadgen.Report {
-	return &loadgen.Report{
-		Requests: 10,
-		Warm:     loadgen.Summary{Count: 8, P99Ms: warmP99},
-		Accounting: loadgen.Accounting{
-			MissesMatch: true, ActiveRunsDrained: true,
-			RunLocksDrained: true, CountersConsistent: true,
-		},
-	}
-}
-
-// writeBaselineWithServe commits a bench artifact whose serve section
-// has the given warm p99.
-func writeBaselineWithServe(t *testing.T, warmP99 float64) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	res := benchResult{HostsPerSec: 20000, Serve: cleanLoadReport(warmP99)}
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestLoadtestGate: the latency SLO boundary math — a warm p99 at
-// exactly the ceiling passes, above it fails, and the hard invariants
-// short-circuit the latency comparison.
-func TestLoadtestGate(t *testing.T) {
-	baseline := writeBaselineWithServe(t, 10.0)
-
-	if err := loadtestGate(cleanLoadReport(10.9), baseline, 0.10); err != nil {
-		t.Errorf("p99 below ceiling failed the gate: %v", err)
-	}
-	if err := loadtestGate(cleanLoadReport(11.0), baseline, 0.10); err != nil {
-		t.Errorf("p99 at the ceiling failed the gate: %v", err)
-	}
-	err := loadtestGate(cleanLoadReport(11.2), baseline, 0.10)
-	if err == nil || !strings.Contains(err.Error(), "regression") {
-		t.Errorf("p99 above ceiling: err = %v, want regression", err)
-	}
-
-	bad := cleanLoadReport(5.0)
-	bad.Failed = 1
-	bad.FailureSamples = []string{"boom"}
-	if err := loadtestGate(bad, baseline, 0.10); err == nil {
-		t.Error("failed request passed the gate")
-	}
-
-	mismatch := cleanLoadReport(5.0)
-	mismatch.Accounting.MissesMatch = false
-	if err := loadtestGate(mismatch, baseline, 0.10); err == nil {
-		t.Error("accounting mismatch passed the gate")
-	}
-
-	empty := cleanLoadReport(5.0)
-	empty.Warm = loadgen.Summary{}
-	if err := loadtestGate(empty, baseline, 0.10); err == nil {
-		t.Error("a run with no warm requests passed the latency gate")
-	}
-}
-
-// TestLoadtestGateMissingServeSection: gating against an artifact that
-// never recorded a serve section names the fix instead of passing
-// vacuously.
-func TestLoadtestGateMissingServeSection(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	b, _ := json.Marshal(benchResult{HostsPerSec: 20000})
-	os.WriteFile(path, b, 0o644)
-	err := loadtestGate(cleanLoadReport(5.0), path, 0.10)
-	if err == nil || !strings.Contains(err.Error(), "no serve section") {
-		t.Errorf("err = %v, want 'no serve section'", err)
-	}
-}
-
-// TestWriteServeSectionMergePreserves: merging into an existing
-// artifact keeps every kernel measurement; a second merge replaces the
-// serve section; a fresh path gets a serve-only document.
-func TestWriteServeSectionMergePreserves(t *testing.T) {
-	path := writeBaselineWithServe(t, 10.0)
-	if err := writeServeSection(path, cleanLoadReport(3.0)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := readBenchBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HostsPerSec != 20000 {
-		t.Errorf("merge dropped hosts_per_sec: %v", res.HostsPerSec)
-	}
-	if res.Serve == nil || res.Serve.Warm.P99Ms != 3.0 {
-		t.Errorf("merge did not replace the serve section: %+v", res.Serve)
-	}
-
-	fresh := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := writeServeSection(fresh, cleanLoadReport(4.0)); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := readBenchBaseline(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Serve == nil || res2.Serve.Warm.P99Ms != 4.0 {
-		t.Errorf("fresh artifact serve section = %+v", res2.Serve)
-	}
-	if res2.HostsPerSec != 0 {
-		t.Errorf("fresh artifact invented kernel numbers: %+v", res2)
-	}
-}
-
-// TestBenchRewritePreservesServeSection: cmdBench carrying the serve
-// section over when the kernel artifact is regenerated (the read half
-// is readBenchBaseline; this pins the copy).
-func TestBenchRewritePreservesServeSection(t *testing.T) {
-	path := writeBaselineWithServe(t, 10.0)
-	prev, err := readBenchBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := benchResult{HostsPerSec: 30000, Serve: prev.Serve}
-	b, _ := json.MarshalIndent(res, "", "  ")
-	os.WriteFile(path, b, 0o644)
-	got, err := readBenchBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Serve == nil || got.Serve.Warm.P99Ms != 10.0 || got.HostsPerSec != 30000 {
-		t.Errorf("rewrite lost data: %+v", got)
 	}
 }

@@ -21,15 +21,13 @@
 //	                                # axis-keyed cartesian grid of fleets
 //	dgrid sweep -set policy=fifo,deadline -set machines=256..1024*2
 //	                                # the same, from axis overrides alone
-//	dgrid bench -out BENCH_fleet.json
-//	                                # fleet throughput benchmark artifact
 //	dgrid cache -prune              # shard-cache retention maintenance
 //	dgrid cache                     # cache contents + resumable manifests
 //	dgrid serve -addr :8787         # sweep daemon: POST /v1/sweeps, shared
 //	                                # pool/cache/single-flight across clients
 //	dgrid loadtest -clients 200     # drive a daemon with a client fleet:
-//	                                # latency percentiles per outcome class,
-//	                                # accounting cross-checks, bench artifact
+//	                                # latency percentiles per outcome class
+//	                                # and accounting cross-checks
 //	dgrid version                   # build identity (matches /healthz)
 //
 // Experiment runs are deterministic per seed and independent of the
@@ -78,8 +76,6 @@ func main() {
 		err = cmdFleet(os.Args[2:])
 	case "sweep":
 		err = cmdSweep(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "cache":
 		err = cmdCache(os.Args[2:])
 	case "serve":
@@ -131,7 +127,6 @@ commands:
   report           regenerate the paper-vs-measured EXPERIMENTS.md tables
   fleet            simulate a churn-aware volunteer desktop-grid fleet
   sweep            run a declarative scenario sweep (spec file / -set axes)
-  bench            benchmark the fleet pipeline, write BENCH_fleet.json
   cache            show, prune, or clear the on-disk shard cache
   serve            serve sweeps over HTTP from one shared pool and cache
   loadtest         drive a serve daemon with a concurrent client fleet

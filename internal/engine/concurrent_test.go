@@ -165,12 +165,15 @@ func sweepKeys(t *testing.T, exp Experiment, keys map[string]int) []string {
 }
 
 // TestConcurrentOverlappingSweepsSharedPool drives two different but
-// overlapping sweeps through one shared Pool under the race detector:
-// the runs split the pool's workers, the three shared shards are
-// computed once and flight-delivered to the other run, the six
-// non-shared shards are ordinary cold misses, and both runs' table,
-// CSV, and JSON artifacts are byte-identical to serial runs of the
-// same specs.
+// overlapping sweeps through one shared Pool under the race detector.
+// "gated pair" runs A and B over a MemCache, with gates that bring both
+// runs to every shared key before either leads: the three shared
+// shards are computed once and flight-delivered to the other run, the
+// six non-shared shards are ordinary cold misses. "ungated trio" runs
+// A, B, A over a FileCache with its memory tier and no gates, so the
+// flight counts depend on timing, yet every interleaving computes only
+// the unique-key union. In both cases every run's table, CSV, and JSON
+// artifacts are byte-identical to a serial run of the same spec.
 func TestConcurrentOverlappingSweepsSharedPool(t *testing.T) {
 	specA, specB := overlapSpecs()
 	expA, err := NewSweep("sweepA", "overlap A", specA)
@@ -195,81 +198,85 @@ func TestConcurrentOverlappingSweepsSharedPool(t *testing.T) {
 		t.Fatalf("test geometry drifted: %d shared keys over %d unique, want 3 over 9", len(shared), len(counts))
 	}
 
-	pool := NewPool(8)
-	defer pool.Close()
-	cache := NewMemCache()
-	gate := newArrivalGate(2)
+	fc, err := NewFileCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.EnableMemTier(DefaultMemTierBytes)
 	cfg := quickCfg()
-
-	run := func(exp Experiment) (*Outcome, Stats, error) {
-		r := Runner{
-			Pool:  pool,
-			Cache: cache,
-			taskGate: func(key string) {
-				if shared[key] {
-					gate.wait(key)
+	for _, tc := range []struct {
+		name  string
+		exps  []Experiment
+		cache Cache
+		gated bool
+	}{
+		{"gated pair", []Experiment{expA, expB}, NewMemCache(), true},
+		{"ungated trio", []Experiment{expA, expB, expA}, fc, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewPool(8)
+			defer pool.Close()
+			gate := newArrivalGate(len(tc.exps))
+			outs := make([]*Outcome, len(tc.exps))
+			stats := make([]Stats, len(tc.exps))
+			errs := make([]error, len(tc.exps))
+			var wg sync.WaitGroup
+			for i, exp := range tc.exps {
+				r := Runner{Pool: pool, Cache: tc.cache}
+				if tc.gated {
+					r.taskGate = func(key string) {
+						if shared[key] {
+							gate.wait(key)
+						}
+					}
+					r.leadGate = func(key string) {
+						if shared[key] {
+							awaitWaiters(pool.Flights(), key, 1)
+						}
+					}
 				}
-			},
-			leadGate: func(key string) {
-				if shared[key] {
-					awaitWaiters(pool.Flights(), key, 1)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var out []*Outcome
+					if out, stats[i], errs[i] = r.Run(cfg, []Experiment{exp}); errs[i] == nil {
+						outs[i] = out[0]
+					}
+				}()
+			}
+			wg.Wait()
+
+			// Work accounting: the union computes once, and every flight
+			// hit is one delivery from a leader.
+			var misses, flightHits, flightShared int
+			for i, st := range stats {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
 				}
-			},
-		}
-		out, st, err := r.Run(cfg, []Experiment{exp})
-		if err != nil {
-			return nil, st, err
-		}
-		return out[0], st, nil
-	}
+				misses += st.Misses
+				flightHits += st.FlightHits
+				flightShared += st.FlightShared
+			}
+			if misses != len(counts) {
+				t.Errorf("Σmisses = %d, want %d (the unique-key union)", misses, len(counts))
+			}
+			if flightHits != flightShared {
+				t.Errorf("ΣFlightHits = %d != ΣFlightShared = %d", flightHits, flightShared)
+			}
+			if tc.gated && flightHits != len(shared) {
+				t.Errorf("ΣFlightHits = %d, want %d (one per shared shard)", flightHits, len(shared))
+			}
 
-	var (
-		wg         sync.WaitGroup
-		outA, outB *Outcome
-		stA, stB   Stats
-		errA, errB error
-	)
-	wg.Add(2)
-	go func() { defer wg.Done(); outA, stA, errA = run(expA) }()
-	go func() { defer wg.Done(); outB, stB, errB = run(expB) }()
-	wg.Wait()
-	if errA != nil {
-		t.Fatal(errA)
-	}
-	if errB != nil {
-		t.Fatal(errB)
-	}
-
-	// Work accounting: the union computes once, the overlap flies once.
-	if got := stA.Misses + stB.Misses; got != len(counts) {
-		t.Errorf("Σmisses = %d, want %d (the unique-key union)", got, len(counts))
-	}
-	if got := stA.FlightHits + stB.FlightHits; got != len(shared) {
-		t.Errorf("ΣFlightHits = %d, want %d (one per shared shard)", got, len(shared))
-	}
-	if got := stA.FlightShared + stB.FlightShared; got != len(shared) {
-		t.Errorf("ΣFlightShared = %d, want %d", got, len(shared))
-	}
-
-	// Byte-identity against serial runs on fresh caches, no pool.
-	for _, c := range []struct {
-		name string
-		exp  Experiment
-		got  *Outcome
-	}{{"sweepA", expA, outA}, {"sweepB", expB, outB}} {
-		serial := Runner{Workers: 1, Cache: NewMemCache()}
-		ref, _, err := serial.Run(cfg, []Experiment{c.exp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.got.Render() != ref[0].Render() {
-			t.Errorf("%s: concurrent table differs from serial", c.name)
-		}
-		if c.got.CSV() != ref[0].CSV() {
-			t.Errorf("%s: concurrent CSV differs from serial", c.name)
-		}
-		if string(c.got.Raw) != string(ref[0].Raw) {
-			t.Errorf("%s: concurrent JSON artifact differs from serial", c.name)
-		}
+			// Byte-identity against serial runs on fresh caches, no pool.
+			for i, got := range outs {
+				ref, _, err := (&Runner{Workers: 1, Cache: NewMemCache()}).Run(cfg, []Experiment{tc.exps[i]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Render() != ref[0].Render() || got.CSV() != ref[0].CSV() || string(got.Raw) != string(ref[0].Raw) {
+					t.Errorf("run %d (%s): concurrent table, CSV or JSON differs from serial", i, tc.exps[i].Name())
+				}
+			}
+		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,21 +192,6 @@ func reorderWindow(workers, chunk int) int {
 		w = 16
 	}
 	return w
-}
-
-// ResolvedWorkers reports the pool size a Run call will actually use:
-// the shared Pool's bound when one is set, else Workers when positive,
-// otherwise GOMAXPROCS at call time. The bench harness records it so
-// benchmark artifacts carry the real worker count rather than the
-// unresolved zero.
-func (r *Runner) ResolvedWorkers() int {
-	if r.Pool != nil {
-		return r.Pool.Workers()
-	}
-	if r.Workers > 0 {
-		return r.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // flights resolves the single-flight group this run dedupes through:

@@ -128,8 +128,8 @@ func histValue(g, s int) int64 {
 	return (histSub+int64(s))*width + width/2
 }
 
-// Summary is the wire form of one histogram: the percentile block the
-// bench artifact's serve section commits per outcome class.
+// Summary is the wire form of one histogram: the percentile block a
+// Report carries per outcome class.
 type Summary struct {
 	Count int     `json:"count"`
 	P50Ms float64 `json:"p50_ms"`

@@ -2,6 +2,9 @@ package loadgen
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -110,6 +113,47 @@ func TestSaturated429AllClientsEventuallySucceed(t *testing.T) {
 	}
 }
 
+// TestSSEFractionNegativeStreamsNothing: a negative SSEFraction is the
+// explicit 0 (a zero field means the 0.5 default), so no request
+// streams and no time-to-first-frame is recorded.
+func TestSSEFractionNegativeStreamsNothing(t *testing.T) {
+	rep, err := Run(context.Background(), Config{
+		BaseURL: startLocal(t, 2, 8), Clients: 4, Requests: 3, Specs: DefaultSpecMix(2), SSEFraction: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err != nil || rep.TTFF.Count != 0 {
+		t.Errorf("Check() = %v, TTFF count = %d; want nil, 0", err, rep.TTFF.Count)
+	}
+}
+
+// TestMaxRetriesBudget: against a daemon that answers every sweep with
+// 429, a negative MaxRetries (the explicit 0) fails the request on its
+// first 429, while a zero field still means the default 100 retries.
+func TestMaxRetriesBudget(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			http.Error(w, "busy", http.StatusTooManyRequests)
+			return
+		}
+		io.WriteString(w, "{}") // an idle, empty daemon on /healthz and /v1/cache
+	}))
+	defer ts.Close()
+	for _, tc := range []struct{ maxRetries, wantRetries int }{{-1, 0}, {0, 100}} {
+		rep, err := Run(context.Background(), Config{
+			BaseURL: ts.URL, Clients: 1, Requests: 1, MaxRetries: tc.maxRetries, BackoffScale: 1e-6,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed != 1 || rep.Retries != tc.wantRetries || rep.Rejected429 != tc.wantRetries+1 {
+			t.Errorf("MaxRetries %d: failed %d, retries %d, 429s %d; want 1, %d, %d",
+				tc.maxRetries, rep.Failed, rep.Retries, rep.Rejected429, tc.wantRetries, tc.wantRetries+1)
+		}
+	}
+}
+
 func TestParseRetryAfter(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -148,8 +192,7 @@ func TestClassify(t *testing.T) {
 	}
 }
 
-// TestReportCheck: the hard half of the gate judges exactly the
-// failure modes it names.
+// TestReportCheck: Check judges exactly the failure modes it names.
 func TestReportCheck(t *testing.T) {
 	clean := func() *Report {
 		return &Report{
