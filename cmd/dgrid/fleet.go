@@ -13,23 +13,30 @@ import (
 	"vmdg/internal/grid"
 )
 
+// outFlags are the output switches of `dgrid fleet` and `dgrid sweep`.
+type outFlags struct {
+	jsonOut bool
+	csv     bool
+	out     string
+}
+
+// register declares the switches; name stems the artifact files.
+func (f *outFlags) register(fs *flag.FlagSet, name string) {
+	fs.BoolVar(&f.jsonOut, "json", false, "emit the merged JSON payload instead of the table")
+	fs.BoolVar(&f.csv, "csv", false, "emit CSV instead of the table")
+	fs.StringVar(&f.out, "out", "", "also write "+name+".json and "+name+".csv artifacts to this directory")
+}
+
 // fleetOpts is everything `dgrid fleet` parses from its arguments: the
 // single validated scenario plus the runner and output switches.
 // parseFleetArgs fills it, so the whole command line is testable
 // without executing a fleet.
 type fleetOpts struct {
-	scn     grid.Scenario
-	seed    uint64
-	quick   bool
-	workers int
-	cache   string
-	resume  bool
-	jsonOut bool
-	csv     bool
-	out     string
-	verbose bool
-	quiet   bool
-	cpuprof string
+	engineFlags
+	outFlags
+	scn   grid.Scenario
+	seed  uint64
+	quick bool
 }
 
 // parseFleetArgs parses and validates the fleet command line. Flag
@@ -39,11 +46,14 @@ type fleetOpts struct {
 // Scenario.Normalize cannot express).
 func parseFleetArgs(args []string) (*fleetOpts, error) {
 	def := grid.Spec{}.Normalize()
+	o := &fleetOpts{}
 	fs := flag.NewFlagSet("dgrid fleet", flag.ContinueOnError)
+	o.engineFlags.register(fs)
+	o.outFlags.register(fs, "fleet")
 	machines := fs.Int("machines", def.Machines[0], "volunteer machines in the fleet")
 	minutes := fs.Int("minutes", def.Minutes[0], "virtual minutes to simulate")
 	env := fs.String("env", "", "single VM environment (default: the paper's four)")
-	seed := fs.Uint64("seed", def.Seed, "simulation seed (runs are deterministic per seed)")
+	fs.Uint64Var(&o.seed, "seed", def.Seed, "simulation seed (runs are deterministic per seed)")
 	churn := fs.Bool("churn", def.Churn[0], "enable volunteer availability churn (power on/off sessions)")
 	policy := fs.String("policy", def.Policy[0], "scheduling policy: "+strings.Join(grid.Policies(), ", "))
 	replication := fs.Int("replication", def.Replication[0], "quorum size (replication policy)")
@@ -53,16 +63,7 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 		"checkpoint migration policy: "+strings.Join(grid.MigrationPolicies(), ", "))
 	bandwidth := fs.Float64("bandwidth", def.Bandwidth[0],
 		"server frontend transfer capacity per population slice, Mbit/s (migration policies)")
-	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	cache := fs.String("cache", "", "shard cache directory; 'off' disables (default: the user cache dir)")
-	resume := fs.Bool("resume", true, "journal fold progress and resume an interrupted identical run (needs the cache)")
-	quick := fs.Bool("quick", false, "trim calibration windows (faster, noisier)")
-	jsonOut := fs.Bool("json", false, "emit the merged JSON payload instead of the table")
-	csv := fs.Bool("csv", false, "emit CSV instead of the table")
-	out := fs.String("out", "", "also write fleet.json and fleet.csv artifacts to this directory")
-	verbose := fs.Bool("v", false, "log per-shard progress to stderr")
-	quiet := fs.Bool("quiet", false, "suppress progress and summary lines on stderr")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.BoolVar(&o.quick, "quick", false, "trim calibration windows (faster, noisier)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil, err
@@ -79,8 +80,8 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 
 	sp := grid.Spec{
 		Version:     grid.SpecVersion,
-		Seed:        *seed,
-		Quick:       *quick,
+		Seed:        o.seed,
+		Quick:       o.quick,
 		Machines:    []int{*machines},
 		Minutes:     []int{*minutes},
 		Churn:       []bool{*churn},
@@ -106,20 +107,8 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fleetOpts{
-		scn:     pts[0].Scenario,
-		seed:    *seed,
-		quick:   *quick,
-		workers: *workers,
-		cache:   *cache,
-		resume:  *resume,
-		jsonOut: *jsonOut,
-		csv:     *csv,
-		out:     *out,
-		verbose: *verbose,
-		quiet:   *quiet,
-		cpuprof: *cpuprofile,
-	}, nil
+	o.scn = pts[0].Scenario
+	return o, nil
 }
 
 // cmdFleet simulates the paper's motivating scenario at population
@@ -133,47 +122,54 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 // one-point sweep: same validation, same cache scoping, same engine
 // path, and `dgrid sweep -set axis=...` widens any of these flags into
 // a comparison without re-running this point.
-func cmdFleet(args []string) (err error) {
+func cmdFleet(args []string) error {
 	o, err := parseFleetArgs(args)
 	if err != nil {
 		return usageExit(err)
-	}
-	stop, err := startCPUProfile(o.cpuprof)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, stop()) }()
-	runner, err := newRunner(o.workers, o.cache, o.resume, o.verbose)
-	if err != nil {
-		return err
-	}
-	if !o.verbose && !o.quiet {
-		runner.OnEvent = progressLine("fleet")
 	}
 	// The config takes the flag values directly (not the normalized
 	// spec's): an explicit -seed 0 runs seed 0, as it always has —
 	// only in spec *files* does an absent seed mean grid.DefaultSeed.
 	cfg := core.Config{Seed: o.seed, Quick: o.quick}
 	exp := engine.FleetScenario("fleet", "command-line fleet scenario", o.scn)
+	return runFleetExperiment("fleet", &o.engineFlags, &o.outFlags, cfg, exp)
+}
+
+// runFleetExperiment is the body `dgrid fleet` and `dgrid sweep` share:
+// it runs exp (named what in progress lines) under the engine flags and
+// prints its one outcome as the output flags ask.
+func runFleetExperiment(what string, ef *engineFlags, of *outFlags, cfg core.Config, exp engine.Experiment) (err error) {
+	stop, err := startCPUProfile(ef.cpuprof)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
+	runner, err := ef.newRunner()
+	if err != nil {
+		return err
+	}
+	if !ef.verbose && !ef.quiet {
+		runner.OnEvent = progressLine(what)
+	}
 	outcomes, stats, err := runner.Run(cfg, []engine.Experiment{exp})
 	if err != nil {
 		return err
 	}
 	res := outcomes[0]
 	switch {
-	case o.jsonOut:
+	case of.jsonOut:
 		os.Stdout.Write(append(res.Raw, '\n'))
-	case o.csv:
+	case of.csv:
 		fmt.Print(res.CSV())
 	default:
 		fmt.Println(res.Render())
 	}
-	if o.out != "" {
-		if err := writeArtifacts(o.out, outcomes); err != nil {
+	if of.out != "" {
+		if err := writeArtifacts(of.out, outcomes); err != nil {
 			return err
 		}
 	}
-	if !o.quiet {
+	if !ef.quiet {
 		summarize(stats)
 	}
 	return nil

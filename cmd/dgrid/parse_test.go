@@ -61,23 +61,6 @@ func TestParseFleetFlags(t *testing.T) {
 	}
 }
 
-// TestParseResumeFlag: fold journaling is on by default and
-// -resume=false opts out, identically on fleet and sweep.
-func TestParseResumeFlag(t *testing.T) {
-	if o, err := parseFleetArgs(nil); err != nil || !o.resume {
-		t.Fatalf("fleet default: resume=%v err=%v, want on", o != nil && o.resume, err)
-	}
-	if o, err := parseFleetArgs([]string{"-resume=false"}); err != nil || o.resume {
-		t.Fatalf("fleet -resume=false not applied: %+v err=%v", o, err)
-	}
-	if o, err := parseSweepArgs([]string{"-set", "envs=vmplayer"}); err != nil || !o.resume {
-		t.Fatalf("sweep default: resume=%v err=%v, want on", o != nil && o.resume, err)
-	}
-	if o, err := parseSweepArgs([]string{"-set", "envs=vmplayer", "-resume=false"}); err != nil || o.resume {
-		t.Fatalf("sweep -resume=false not applied: %+v err=%v", o, err)
-	}
-}
-
 // TestParseFleetErrors covers the flag-validation error paths with
 // their user-facing messages.
 func TestParseFleetErrors(t *testing.T) {
@@ -170,6 +153,10 @@ func TestParseSweepErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"machines":[64]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name    string
 		args    []string
@@ -187,6 +174,7 @@ func TestParseSweepErrors(t *testing.T) {
 			"unknown migration policy"},
 		{"spec file missing", []string{"-spec", missing}, "no such file"},
 		{"spec file versionless", []string{"-spec", bad}, "no version"},
+		{"spec file empty", []string{"-spec", empty}, "parsing spec"},
 		{"positional args", []string{"run"}, "unexpected arguments"},
 	} {
 		_, err := parseSweepArgs(tc.args)
@@ -199,48 +187,90 @@ func TestParseSweepErrors(t *testing.T) {
 	}
 }
 
-// TestParseQuietFlag: -quiet lands on every command that draws
-// progress/summary lines.
-func TestParseQuietFlag(t *testing.T) {
-	fo, err := parseFleetArgs([]string{"-quiet"})
-	if err != nil || !fo.quiet {
-		t.Fatalf("fleet -quiet: %+v, %v", fo, err)
+// engineFlagCase is one command line and the engine flags it must
+// parse to.
+type engineFlagCase struct {
+	args []string
+	want engineFlags
+}
+
+// checkEngineFlags parses each case with run (and report, which shares
+// run's flags), fleet and sweep: the engine flags have one declaration,
+// so every command must land them on the same fields.
+func checkEngineFlags(t *testing.T, cases []engineFlagCase) {
+	t.Helper()
+	commands := []struct {
+		name  string
+		parse func(args []string) (*engineFlags, error)
+	}{
+		{"run", func(args []string) (*engineFlags, error) {
+			fs := flag.NewFlagSet("run", flag.ContinueOnError)
+			var rf runFlags
+			rf.register(fs)
+			return &rf.engineFlags, fs.Parse(args)
+		}},
+		{"fleet", func(args []string) (*engineFlags, error) {
+			o, err := parseFleetArgs(args)
+			if err != nil {
+				return nil, err
+			}
+			return &o.engineFlags, nil
+		}},
+		{"sweep", func(args []string) (*engineFlags, error) {
+			o, err := parseSweepArgs(append([]string{"-set", "envs=vmplayer"}, args...))
+			if err != nil {
+				return nil, err
+			}
+			return &o.engineFlags, nil
+		}},
 	}
-	so, err := parseSweepArgs([]string{"-quiet"})
-	if err != nil || !so.quiet {
-		t.Fatalf("sweep -quiet: %+v, %v", so, err)
-	}
-	if fo2, _ := parseFleetArgs(nil); fo2.quiet {
-		t.Fatal("fleet is quiet by default")
+	for _, cmd := range commands {
+		for _, tc := range cases {
+			got, err := cmd.parse(tc.args)
+			if err != nil {
+				t.Fatalf("%s %v: %v", cmd.name, tc.args, err)
+			}
+			if *got != tc.want {
+				t.Fatalf("%s %v: %+v, want %+v", cmd.name, tc.args, *got, tc.want)
+			}
+		}
 	}
 }
 
-// TestParseCPUProfileFlag: -cpuprofile lands on fleet, sweep, and the
-// run flags shared by run and report, and is off by default.
+// TestParseResumeFlag: fold journaling is on by default and
+// -resume=false opts out, identically on run, fleet and sweep.
+func TestParseResumeFlag(t *testing.T) {
+	checkEngineFlags(t, []engineFlagCase{
+		{nil, engineFlags{resume: true}},
+		{[]string{"-resume=false"}, engineFlags{}},
+	})
+}
+
+// TestParseQuietFlag: -quiet is off by default and lands on every
+// command that draws progress/summary lines.
+func TestParseQuietFlag(t *testing.T) {
+	checkEngineFlags(t, []engineFlagCase{
+		{nil, engineFlags{resume: true}},
+		{[]string{"-quiet"}, engineFlags{resume: true, quiet: true}},
+	})
+}
+
+// TestParseCPUProfileFlag: -cpuprofile is off by default and lands on
+// fleet, sweep, and the run flags shared by run and report.
 func TestParseCPUProfileFlag(t *testing.T) {
-	if fo, err := parseFleetArgs(nil); err != nil || fo.cpuprof != "" {
-		t.Fatalf("fleet default: %+v, %v", fo, err)
-	}
-	if fo, err := parseFleetArgs([]string{"-cpuprofile", "fleet.prof"}); err != nil || fo.cpuprof != "fleet.prof" {
-		t.Fatalf("fleet -cpuprofile: %+v, %v", fo, err)
-	}
-	if so, err := parseSweepArgs([]string{"-cpuprofile", "sweep.prof"}); err != nil || so.cpuprof != "sweep.prof" {
-		t.Fatalf("sweep -cpuprofile: %+v, %v", so, err)
-	}
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{nil, ""},
-		{[]string{"-cpuprofile", "run.prof"}, "run.prof"},
-	} {
-		fs := flag.NewFlagSet("run", flag.ContinueOnError)
-		var rf runFlags
-		rf.register(fs)
-		if err := fs.Parse(tc.args); err != nil || rf.cpuprof != tc.want {
-			t.Fatalf("run flags %v: cpuprof %q (%v), want %q", tc.args, rf.cpuprof, err, tc.want)
-		}
-	}
+	checkEngineFlags(t, []engineFlagCase{
+		{nil, engineFlags{resume: true}},
+		{[]string{"-cpuprofile", "x.prof"}, engineFlags{resume: true, cpuprof: "x.prof"}},
+	})
+}
+
+// TestParseEngineFlags: the runner flags (-workers, -cache, -v) land
+// on the same fields for run, fleet and sweep.
+func TestParseEngineFlags(t *testing.T) {
+	checkEngineFlags(t, []engineFlagCase{
+		{[]string{"-workers", "3", "-cache", "off", "-v"},
+			engineFlags{workers: 3, cache: "off", resume: true, verbose: true}},
+	})
 }
 
 // TestFleetWritesCPUProfile: a fleet run with -cpuprofile leaves a

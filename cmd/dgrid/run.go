@@ -11,13 +11,11 @@ import (
 	"vmdg/internal/engine"
 )
 
-// runFlags are the engine options shared by `dgrid run` and
-// `dgrid report`.
-type runFlags struct {
+// engineFlags are the engine options `run`, `report`, `fleet` and
+// `sweep` share: the worker pool, the shard cache and its resume
+// journal, stderr verbosity, and a CPU profile of the run.
+type engineFlags struct {
 	workers int
-	seed    uint64
-	reps    int
-	quick   bool
 	cache   string
 	resume  bool
 	verbose bool
@@ -25,11 +23,8 @@ type runFlags struct {
 	cpuprof string
 }
 
-func (f *runFlags) register(fs *flag.FlagSet) {
+func (f *engineFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&f.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	fs.Uint64Var(&f.seed, "seed", 1, "experiment seed (runs are deterministic per seed)")
-	fs.IntVar(&f.reps, "reps", 3, "measurement repetitions per data point")
-	fs.BoolVar(&f.quick, "quick", false, "trim workload sizes (faster, noisier)")
 	fs.StringVar(&f.cache, "cache", "", "shard cache directory; 'off' disables (default: the user cache dir)")
 	fs.BoolVar(&f.resume, "resume", true, "journal fold progress and resume an interrupted identical run (needs the cache)")
 	fs.BoolVar(&f.verbose, "v", false, "log per-shard progress to stderr")
@@ -37,23 +32,14 @@ func (f *runFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.cpuprof, "cpuprofile", "", "write a CPU profile of the run to this file")
 }
 
-func (f *runFlags) config() core.Config {
-	return core.Config{Seed: f.seed, Reps: f.reps, Quick: f.quick}
-}
-
-// runner builds the pool from the flags.
-func (f *runFlags) runner() (*engine.Runner, error) {
-	return newRunner(f.workers, f.cache, f.resume, f.verbose)
-}
-
-// newRunner builds a worker pool (shared by run, report, fleet, and
-// sweep). Progress and summary lines go to stderr so stdout stays
-// bit-identical across worker counts and cache states. With resume (the
-// default) and an on-disk cache, the runner journals fold progress to
-// the cache's manifest store, so a killed run picks up where it folded.
-func newRunner(workers int, cache string, resume, verbose bool) (*engine.Runner, error) {
-	r := &engine.Runner{Workers: workers}
-	switch cache {
+// newRunner builds the worker pool the flags describe. Progress and
+// summary lines go to stderr so stdout stays bit-identical across
+// worker counts and cache states. With resume (the default) and an
+// on-disk cache, the runner journals fold progress to the cache's
+// manifest store, so a killed run picks up where it folded.
+func (f *engineFlags) newRunner() (*engine.Runner, error) {
+	r := &engine.Runner{Workers: f.workers}
+	switch f.cache {
 	case "off":
 	case "":
 		dir, err := engine.DefaultCacheDir()
@@ -65,7 +51,7 @@ func newRunner(workers int, cache string, resume, verbose bool) (*engine.Runner,
 		}
 	default:
 		var err error
-		if r.Cache, err = engine.NewFileCache(cache); err != nil {
+		if r.Cache, err = engine.NewFileCache(f.cache); err != nil {
 			return nil, err
 		}
 	}
@@ -82,11 +68,11 @@ func newRunner(workers int, cache string, resume, verbose bool) (*engine.Runner,
 		// durable tier underneath.
 		fc.EnableMemTier(engine.DefaultMemTierBytes)
 		fc.Prune(engine.DefaultMaxAge, engine.DefaultMaxBytes)
-		if resume {
+		if f.resume {
 			r.Manifests = fc.Manifests()
 		}
 	}
-	if verbose {
+	if f.verbose {
 		r.OnEvent = func(ev engine.Event) {
 			switch ev.Kind {
 			case engine.EventShardComputed:
@@ -99,6 +85,26 @@ func newRunner(workers int, cache string, resume, verbose bool) (*engine.Runner,
 		}
 	}
 	return r, nil
+}
+
+// runFlags are the options of `dgrid run` and `dgrid report`: the
+// engine flags plus the paper configuration.
+type runFlags struct {
+	engineFlags
+	seed  uint64
+	reps  int
+	quick bool
+}
+
+func (f *runFlags) register(fs *flag.FlagSet) {
+	f.engineFlags.register(fs)
+	fs.Uint64Var(&f.seed, "seed", 1, "experiment seed (runs are deterministic per seed)")
+	fs.IntVar(&f.reps, "reps", 3, "measurement repetitions per data point")
+	fs.BoolVar(&f.quick, "quick", false, "trim workload sizes (faster, noisier)")
+}
+
+func (f *runFlags) config() core.Config {
+	return core.Config{Seed: f.seed, Reps: f.reps, Quick: f.quick}
 }
 
 func summarize(stats engine.Stats) {
@@ -157,7 +163,7 @@ func cmdRun(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	runner, err := rf.runner()
+	runner, err := rf.newRunner()
 	if err != nil {
 		return err
 	}
@@ -226,7 +232,7 @@ func cmdReport(args []string) (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, stop()) }()
-	runner, err := rf.runner()
+	runner, err := rf.newRunner()
 	if err != nil {
 		return err
 	}

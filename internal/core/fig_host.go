@@ -32,9 +32,10 @@ func targetKernelCycles(cfg Config) float64 {
 }
 
 // vmWithWorker builds a VM from prof on host, running an endless
-// Einstein@home worker at 100% virtual CPU, powered on at prio.
-func vmWithWorker(host *hostos.OS, prof vmm.Profile, seed uint64, prio hostos.Priority) (*vmm.VM, error) {
-	vm, err := vmm.New(host, vmm.Config{Prof: prof})
+// Einstein@home worker at 100% virtual CPU, powered on at prio and
+// confined to the host cores in the affinity mask (0: unconfined).
+func vmWithWorker(host *hostos.OS, prof vmm.Profile, seed uint64, prio hostos.Priority, affinity uint64) (*vmm.VM, error) {
+	vm, err := vmm.New(host, vmm.Config{Prof: prof, Affinity: affinity})
 	if err != nil {
 		return nil, err
 	}
@@ -86,7 +87,7 @@ func nbenchIndexOverhead(cfg Config, idx nbench.Index, prof vmm.Profile, prio ho
 		}
 		// With the VM active.
 		hostB := newHost(cfg.Seed)
-		vm, err := vmWithWorker(hostB, prof, cfg.Seed, prio)
+		vm, err := vmWithWorker(hostB, prof, cfg.Seed, prio, 0)
 		if err != nil {
 			return 0, err
 		}
@@ -180,9 +181,10 @@ func Figure6(cfg Config) (*Result, error) { return fig6Def.RunSerial(cfg) }
 func FigureFP(cfg Config) (*Result, error) { return figFPDef.RunSerial(cfg) }
 
 // sevenzHostRates measures the host 7z benchmark's instruction rate for
-// 1 and 2 threads, optionally sharing the machine with a VM. It returns
+// 1 and 2 threads, optionally sharing the machine with a VM confined to
+// the host cores in the affinity mask (0: unconfined). It returns
 // instructions per second of virtual time, summed over threads.
-func sevenzHostRates(cfg Config, prof *vmm.Profile, threads int) (float64, error) {
+func sevenzHostRates(cfg Config, prof *vmm.Profile, threads int, affinity uint64) (float64, error) {
 	block, passes := 512<<10, 2
 	if cfg.Quick {
 		block, passes = 256<<10, 1
@@ -203,7 +205,7 @@ func sevenzHostRates(cfg Config, prof *vmm.Profile, threads int) (float64, error
 		var err error
 		// The paper sets the VM to idle priority for this experiment
 		// ("to minimize impact, and reproduce real conditions", §4.2.3).
-		vm, err = vmWithWorker(host, *prof, cfg.Seed, hostos.PrioIdle)
+		vm, err = vmWithWorker(host, *prof, cfg.Seed, hostos.PrioIdle, affinity)
 		if err != nil {
 			return 0, err
 		}
@@ -247,7 +249,7 @@ func hostImpactShard(cfg Config, shard int) (ShardPayload, error) {
 		p := GuestEnvironments()[(shard-2)/2]
 		prof = &p
 	}
-	rate, err := sevenzHostRates(cfg, prof, threads)
+	rate, err := sevenzHostRates(cfg, prof, threads, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,7 @@ func BusContentionSweep(cfg Config, ks []float64) (*report.Series, error) {
 func ServiceDutySweep(cfg Config, duties []float64) (*report.Series, error) {
 	series := report.NewSeries("Sensitivity — host 7z 2-thread %CPU vs VMM service duty", "% CPU", duties)
 	ys := make([]float64, len(duties))
-	base, err := sevenzHostRates(cfg, nil, 1)
+	base, err := sevenzHostRates(cfg, nil, 1, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func ServiceDutySweep(cfg Config, duties []float64) (*report.Series, error) {
 		prof := profiles.VMwarePlayer()
 		prof.Name = fmt.Sprintf("vmplayer-duty%.2f", duty)
 		prof.ServiceDuty = duty
-		rate, err := sevenzHostRates(cfg, &prof, 2)
+		rate, err := sevenzHostRates(cfg, &prof, 2, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -273,16 +273,16 @@ type ConfinementResult struct {
 // barely moves. Affinity is not a mitigation for the intrusiveness the
 // paper measures.
 func ConfinementExperiment(cfg Config) (*ConfinementResult, error) {
-	base, err := sevenzHostRates(cfg, nil, 1)
+	base, err := sevenzHostRates(cfg, nil, 1, 0)
 	if err != nil {
 		return nil, err
 	}
 	prof := profiles.VMwarePlayer()
-	unpinned, err := sevenzHostRates(cfg, &prof, 2)
+	unpinned, err := sevenzHostRates(cfg, &prof, 2, 0)
 	if err != nil {
 		return nil, err
 	}
-	pinnedRate, err := sevenzHostRatesAffinity(cfg, prof, 2, 1<<1) // core 1 only
+	pinnedRate, err := sevenzHostRates(cfg, &prof, 2, 1<<1) // core 1 only
 	if err != nil {
 		return nil, err
 	}
@@ -290,42 +290,4 @@ func ConfinementExperiment(cfg Config) (*ConfinementResult, error) {
 		UnpinnedPct: 100 * unpinned / base,
 		PinnedPct:   100 * pinnedRate / base,
 	}, nil
-}
-
-// sevenzHostRatesAffinity is sevenzHostRates with the VM confined to the
-// given core mask.
-func sevenzHostRatesAffinity(cfg Config, prof vmm.Profile, threads int, mask uint64) (float64, error) {
-	block, passes := 512<<10, 2
-	if cfg.Quick {
-		block, passes = 256<<10, 1
-	}
-	p7z, run := sevenz.Profile(cfg.Seed, block, passes)
-	if !run.RoundTrip {
-		return 0, fmt.Errorf("core: 7z round trip failed")
-	}
-	iters := int(2.4e9/p7z.TotalCycles()) + 1
-	prog := p7z.Repeat(iters)
-	instr := run.Instructions() * float64(iters)
-
-	host := newHost(cfg.Seed)
-	vm, err := vmm.New(host, vmm.Config{Prof: prof, Affinity: mask})
-	if err != nil {
-		return 0, err
-	}
-	wu := boinc.DefaultWorkUnit("wu-confined", cfg.Seed)
-	vm.SpawnGuest("einstein", boinc.NewWorker(boinc.Progress{WorkUnit: wu}))
-	vm.PowerOn(hostos.PrioIdle)
-	host.RunFor(warmup)
-
-	bench := host.NewProcess("7z")
-	start := host.Sim.Now()
-	for i := 0; i < threads; i++ {
-		host.Spawn(bench, fmt.Sprintf("7z-t%d", i), hostos.PrioNormal, prog.Iter())
-	}
-	if !host.RunUntilFinished(bench, start+3600*sim.Second) {
-		return 0, fmt.Errorf("core: confined 7z run did not finish")
-	}
-	wall := (host.Sim.Now() - start).Seconds()
-	vm.PowerOff()
-	return instr * float64(threads) / wall, nil
 }

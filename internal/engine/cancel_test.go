@@ -133,7 +133,7 @@ func TestRunContextCanceledLeaderRetiresFlight(t *testing.T) {
 	canceled := make(chan struct{})
 
 	rA := Runner{
-		Workers: 1, Cache: cache, Flights: flights,
+		Workers: 1, Cache: cache, flightGroup: flights,
 		leadGate: func(key string) {
 			close(aLeads)
 			awaitWaiters(flights, key, 1)
@@ -141,7 +141,7 @@ func TestRunContextCanceledLeaderRetiresFlight(t *testing.T) {
 		},
 	}
 	rB := Runner{
-		Workers: 1, Cache: cache, Flights: flights,
+		Workers: 1, Cache: cache, flightGroup: flights,
 		taskGate: func(string) { <-aLeads },
 	}
 
@@ -200,7 +200,7 @@ func TestRunContextCanceledWaiterAbandonsFlight(t *testing.T) {
 	bGone := make(chan struct{})
 
 	rA := Runner{
-		Workers: 1, Cache: cache, Flights: flights,
+		Workers: 1, Cache: cache, flightGroup: flights,
 		leadGate: func(key string) {
 			close(aLeads)
 			awaitWaiters(flights, key, 1)
@@ -208,7 +208,7 @@ func TestRunContextCanceledWaiterAbandonsFlight(t *testing.T) {
 		},
 	}
 	rB := Runner{
-		Workers: 1, Cache: cache, Flights: flights,
+		Workers: 1, Cache: cache, flightGroup: flights,
 		taskGate: func(string) { <-aLeads },
 	}
 
@@ -281,7 +281,7 @@ func TestManifestBusySecondIdenticalRun(t *testing.T) {
 			defer wg.Done()
 			r := Runner{
 				Workers: 2, Cache: fc, Manifests: fc.Manifests(),
-				Flights: flights, taskGate: gate.wait,
+				flightGroup: flights, taskGate: gate.wait,
 			}
 			_, st, err := r.Run(cfg, []Experiment{fake})
 			mu.Lock()

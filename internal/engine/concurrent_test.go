@@ -77,11 +77,11 @@ func TestConcurrentIdenticalRunsSingleFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			r := Runner{
-				Workers:  2,
-				Cache:    cache,
-				Flights:  flights,
-				taskGate: gate.wait,
-				leadGate: func(key string) { awaitWaiters(flights, key, runs-1) },
+				Workers:     2,
+				Cache:       cache,
+				flightGroup: flights,
+				taskGate:    gate.wait,
+				leadGate:    func(key string) { awaitWaiters(flights, key, runs-1) },
 			}
 			out, st, err := r.Run(cfg, []Experiment{fake})
 			mu.Lock()

@@ -109,14 +109,6 @@ func (f *Faults) failErr() error {
 	return ErrInjected
 }
 
-// Seen reports how many matched operations the plan has observed —
-// tests use it to size a FailAt for a follow-up run.
-func (f *Faults) Seen() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seen
-}
-
 // faultyWrite writes b through the plan: a firing fault may first write
 // a torn prefix of the record, exactly as a crash between write(2)
 // calls would leave on disk.

@@ -33,7 +33,7 @@ import (
 // resumed record prefix are written to a temp file, synced, and renamed
 // into place, so a crash during journal (re)creation leaves either the
 // old journal or the new one, never a hybrid; appends are single
-// write(2) calls of whole sealed lines, synced every SyncEvery records
+// write(2) calls of whole sealed lines, synced every syncEvery records
 // and at close.
 
 // manifestVersion is the journal format version. Bump it when the line
@@ -44,11 +44,11 @@ const manifestVersion = 1
 // manifestExt names manifest files inside the store directory.
 const manifestExt = ".manifest"
 
-// DefaultSyncEvery is the store's default fsync cadence: one fsync per
-// this many appended records (plus one at close). A process crash loses
-// nothing that write(2) accepted; only an OS or power failure can lose
-// the un-synced tail, and then resume just re-simulates those shards.
-const DefaultSyncEvery = 64
+// syncEvery is the journal's fsync cadence: one fsync per this many
+// appended records (plus one at close). A process crash loses nothing
+// that write(2) accepted; only an OS or power failure can lose the
+// un-synced tail, and then resume just re-simulates those shards.
+const syncEvery = 64
 
 // ErrManifestVersion reports a journal written by an incompatible
 // format version.
@@ -63,7 +63,7 @@ var ErrManifestBusy = errors.New("engine: manifest journal busy (identical run i
 
 // LockStaleAfter is how long an untouched run lock keeps counting as an
 // active run. An open journal touches its lock on every sync (at most
-// every SyncEvery records), so a lock this stale means the run died
+// every syncEvery records), so a lock this stale means the run died
 // without closing — typically a SIGKILL — and maintenance may proceed
 // over it; the next resume re-acquires cleanly.
 const LockStaleAfter = time.Hour
@@ -112,9 +112,6 @@ type ManifestInfo struct {
 type ManifestStore struct {
 	dir    string
 	faults *Faults
-	// SyncEvery overrides the fsync cadence; 0 means DefaultSyncEvery,
-	// negative means sync only at close.
-	SyncEvery int
 
 	// open tracks the identities with a live Journal in this process,
 	// so concurrent identical runs (the serve daemon's tenants) never
@@ -219,16 +216,6 @@ func (s *ManifestStore) ActiveRuns() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func (s *ManifestStore) syncEvery() int {
-	switch {
-	case s.SyncEvery > 0:
-		return s.SyncEvery
-	case s.SyncEvery < 0:
-		return 0
-	}
-	return DefaultSyncEvery
 }
 
 // manifestIdentity names a run: the digest of its ordered task-key
@@ -447,7 +434,7 @@ func (j *Journal) Append(index int, keyHash, digest string) error {
 	}
 	j.n++
 	j.unsynced++
-	if se := j.store.syncEvery(); se > 0 && j.unsynced >= se {
+	if j.unsynced >= syncEvery {
 		return j.sync()
 	}
 	return nil

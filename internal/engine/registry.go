@@ -126,9 +126,6 @@ func (r *Registry) Select(names string) ([]Experiment, error) {
 // extensions) by this package's init.
 var Default = NewRegistry()
 
-// Register adds an experiment to the Default registry.
-func Register(e Experiment) error { return Default.Register(e) }
-
 // TotalShards sums the shard counts of exps under cfg — the pool's work
 // backlog, used for progress reporting.
 func TotalShards(cfg core.Config, exps []Experiment) int {

@@ -78,12 +78,6 @@ type Runner struct {
 	// Fold order, the reorder window, and manifest journaling are
 	// per-run and unaffected.
 	Pool *Pool
-	// Flights, if non-nil, dedupes in-flight shard computations with
-	// every other run sharing the same group. Defaults to the Pool's
-	// group when a Pool is set; nil without a Pool means no cross-run
-	// dedup (a single run never needs it — equal keys already collapse
-	// into one task).
-	Flights *FlightGroup
 	// Cache, if non-nil, supplies and stores shard payloads.
 	Cache Cache
 	// Manifests, if non-nil (and Cache is set), makes the fold durable:
@@ -99,13 +93,16 @@ type Runner struct {
 	// implementations need no locking.
 	OnEvent func(Event)
 
-	// Test hooks (in-package concurrency tests only). taskGate is
-	// called at the start of every task, before the cache lookup;
-	// leadGate is called after the run claims a flight's leadership,
-	// before it computes. Both receive the task's cache key and let
-	// tests pin the interleaving of concurrent runs deterministically.
-	taskGate func(key string)
-	leadGate func(key string)
+	// Test hooks (in-package concurrency tests only). flightGroup, if
+	// non-nil, replaces the Pool's single-flight group, so runs on
+	// private pools can dedupe with each other. taskGate is called at
+	// the start of every task, before the cache lookup; leadGate is
+	// called after the run claims a flight's leadership, before it
+	// computes. Both receive the task's cache key and let tests pin the
+	// interleaving of concurrent runs deterministically.
+	flightGroup *FlightGroup
+	taskGate    func(key string)
+	leadGate    func(key string)
 }
 
 // ShardScoper lets an experiment give each shard its own cache scope.
@@ -195,10 +192,11 @@ func reorderWindow(workers, chunk int) int {
 }
 
 // flights resolves the single-flight group this run dedupes through:
-// the explicit one, else the shared Pool's, else none.
+// the test hook's, else the shared Pool's, else none (a single run
+// never needs one — equal keys already collapse into one task).
 func (r *Runner) flights() *FlightGroup {
-	if r.Flights != nil {
-		return r.Flights
+	if r.flightGroup != nil {
+		return r.flightGroup
 	}
 	if r.Pool != nil {
 		return r.Pool.Flights()

@@ -480,6 +480,35 @@ func ParseSpec(data []byte) (Spec, error) {
 	return sp, nil
 }
 
+// ResolveSpec builds the normalized, validated spec that `dgrid sweep`
+// and the daemon's POST /v1/sweeps describe, in their one precedence:
+// the document doc, then the sets assignments in order, then the
+// scalars — a nonzero seed replaces the document's, and quick set
+// turns quick on. A nil doc means no document (the defaults); any
+// other doc, an empty one included, must parse.
+func ResolveSpec(doc []byte, sets []string, seed uint64, quick bool) (Spec, error) {
+	sp := Spec{Version: SpecVersion}
+	if doc != nil {
+		var err error
+		if sp, err = ParseSpec(doc); err != nil {
+			return Spec{}, err
+		}
+	}
+	for _, assign := range sets {
+		if err := sp.Set(assign); err != nil {
+			return Spec{}, err
+		}
+	}
+	if seed != 0 {
+		sp.Seed = seed
+	}
+	if quick {
+		sp.Quick = true
+	}
+	sp = sp.Normalize()
+	return sp, sp.Validate()
+}
+
 func nilIfEmpty[T any](s []T) []T {
 	if len(s) == 0 {
 		return nil

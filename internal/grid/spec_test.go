@@ -138,6 +138,59 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestResolveSpec pins the one precedence the CLI and the daemon share:
+// the document, then the sets in order, then the seed and quick
+// scalars, then normalization and validation.
+func TestResolveSpec(t *testing.T) {
+	doc := []byte(`{"version":1,"name":"d","seed":5,"quick":true,"envs":["vmplayer"],"machines":[64],"policy":["fifo"]}`)
+	fromDoc := Spec{Version: 1, Name: "d", Seed: 5, Quick: true, Envs: []string{"vmplayer"},
+		Machines: []int{64}, Policy: []string{"fifo"}}
+	with := func(edit func(*Spec)) Spec {
+		sp := fromDoc
+		edit(&sp)
+		return sp.Normalize()
+	}
+	for _, tc := range []struct {
+		name    string
+		doc     []byte
+		sets    []string
+		seed    uint64
+		quick   bool
+		want    Spec
+		wantErr string
+	}{
+		{name: "nil document gives the defaults", want: Spec{}.Normalize()},
+		{name: "document", doc: doc, want: fromDoc.Normalize()},
+		{name: "sets override the document in order", doc: doc,
+			sets: []string{"machines=32", "policy=fifo,deadline", "machines=128"},
+			want: with(func(sp *Spec) { sp.Machines, sp.Policy = []int{128}, []string{"fifo", "deadline"} })},
+		{name: "seed scalar overrides document and sets", doc: doc, sets: []string{"seed=9"}, seed: 7,
+			want: with(func(sp *Spec) { sp.Seed = 7 })},
+		{name: "seed 0 keeps the document's", doc: doc, want: fromDoc.Normalize()},
+		{name: "seed 0 keeps a set seed", doc: doc, sets: []string{"seed=9"},
+			want: with(func(sp *Spec) { sp.Seed = 9 })},
+		{name: "quick scalar turns quick on", sets: []string{"envs=vmplayer"}, quick: true,
+			want: Spec{Quick: true, Envs: []string{"vmplayer"}}.Normalize()},
+		{name: "empty document is an error", doc: []byte{}, wantErr: "parsing spec"},
+		{name: "bad set", doc: doc, sets: []string{"cores=4"}, wantErr: "unknown axis"},
+		{name: "invalid result", sets: []string{"policy=lifo"}, wantErr: "unknown policy"},
+	} {
+		got, err := ResolveSpec(tc.doc, tc.sets, tc.seed, tc.quick)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("%s: error %v, want one mentioning %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%s:\n got %+v\nwant %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSpecValidateErrors(t *testing.T) {
 	base := func() Spec {
 		return Spec{Envs: []string{"vmplayer"}, Machines: []int{64}, Minutes: []int{10}}

@@ -237,7 +237,7 @@ type tcpPeer struct {
 	conn      *TCPConn
 	unacked   int64
 	pending   int // segments since last ACK
-	delayEv   *sim.Event
+	delayEv   sim.Handle
 	BytesRcvd int64
 }
 
@@ -249,10 +249,9 @@ func (p *tcpPeer) onData(bytes int64) {
 		p.sendAck()
 		return
 	}
-	if p.delayEv == nil {
+	if !p.delayEv.Active() {
 		k := p.conn.stack.kernel
 		p.delayEv = k.Sim.After(delayedAckTimeout, "delack", func() {
-			p.delayEv = nil
 			if p.unacked > 0 {
 				p.sendAck()
 			}
@@ -261,10 +260,7 @@ func (p *tcpPeer) onData(bytes int64) {
 }
 
 func (p *tcpPeer) sendAck() {
-	if p.delayEv != nil {
-		p.delayEv.Cancel()
-		p.delayEv = nil
-	}
+	p.delayEv.Cancel()
 	bytes := p.unacked
 	p.unacked = 0
 	p.pending = 0

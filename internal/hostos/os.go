@@ -20,7 +20,7 @@ const zeroStepLimit = 1 << 20
 
 type coreState struct {
 	t     *Thread
-	event *sim.Event // pending step-done-or-quantum event
+	event sim.Handle // pending step-done-or-quantum event
 	// parked holds a thread displaced by a hinted preemption: the
 	// preemptor borrows this core's slot and the parked thread resumes
 	// here as soon as the core frees, without re-entering the ready
@@ -160,10 +160,7 @@ func (o *OS) refreshAll() {
 	rates := o.M.CPU.Rates(shares)
 	for i := range o.cores {
 		c := &o.cores[i]
-		if c.event != nil {
-			c.event.Cancel()
-			c.event = nil
-		}
+		c.event.Cancel()
 		t := c.t
 		if t == nil {
 			continue
@@ -196,7 +193,6 @@ func (o *OS) coreEvent(core int) {
 		if t == nil {
 			return // stale event that escaped cancellation
 		}
-		c.event = nil
 		// Completion epsilon must exceed the worst-case event-time rounding
 		// error of 0.5 ns × rate (≈1.2 cycles at 2.4 GHz), or a step can
 		// land just above zero and masquerade as a quantum expiry.
@@ -354,10 +350,7 @@ func (o *OS) undispatch(core int, preempt bool) {
 	if t == nil {
 		panic("hostos: undispatch of idle core")
 	}
-	if c.event != nil {
-		c.event.Cancel()
-		c.event = nil
-	}
+	c.event.Cancel()
 	if preempt {
 		t.preempted++
 	}

@@ -73,6 +73,3 @@ func (c CPU) Rates(memShare []float64) []float64 {
 	}
 	return rates
 }
-
-// SingleRate is the rate of a thread running alone on the machine.
-func (c CPU) SingleRate() float64 { return c.FreqHz }

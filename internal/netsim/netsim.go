@@ -127,9 +127,6 @@ func (n *Network) Cancel(t *Transfer) {
 	n.reflow()
 }
 
-// InFlight reports the number of active transfers.
-func (n *Network) InFlight() int { return len(n.active) }
-
 // finish completes t at its scheduled drain instant.
 func (n *Network) finish(t *Transfer, now sim.Time) {
 	n.advance(now)

@@ -30,29 +30,10 @@ type SweepRequest struct {
 }
 
 // Resolve builds the normalized, validated spec the request describes,
-// mirroring the CLI's precedence: the spec document first, then the
-// Set overrides in order, then the scalar overrides.
+// with the CLI's precedence (grid.ResolveSpec): the spec document
+// first, then the Set overrides in order, then the scalar overrides.
 func (req *SweepRequest) Resolve() (grid.Spec, error) {
-	sp := grid.Spec{Version: grid.SpecVersion}
-	if len(req.Spec) > 0 {
-		var err error
-		if sp, err = grid.ParseSpec(req.Spec); err != nil {
-			return grid.Spec{}, err
-		}
-	}
-	for _, assign := range req.Set {
-		if err := sp.Set(assign); err != nil {
-			return grid.Spec{}, err
-		}
-	}
-	if req.Seed != 0 {
-		sp.Seed = req.Seed
-	}
-	if req.Quick {
-		sp.Quick = true
-	}
-	sp = sp.Normalize()
-	return sp, sp.Validate()
+	return grid.ResolveSpec(req.Spec, req.Set, req.Seed, req.Quick)
 }
 
 // Event is the wire form of one engine progress event, the data

@@ -2,10 +2,11 @@ package sim
 
 import "testing"
 
-// The scheduling benchmarks drove the allocation-lean kernel: At allocates
-// an Event plus (typically) a caller-side closure per schedule, while
-// Schedule recycles pooled events through generation-checked handles and
-// amortizes to zero allocations. Run with -benchmem to see the contrast.
+// The scheduling benchmarks pin the allocation-lean kernel: there is one
+// event type, every event is recycled through the free list and addressed
+// by a generation-checked Handle, and a callback is either a closure
+// (At/After) or a Caller (Schedule/Reschedule). Both flavours amortize to
+// zero allocations; run with -benchmem to check.
 
 func BenchmarkAtClosure(b *testing.B) {
 	b.ReportAllocs()

@@ -7,13 +7,14 @@
 // every experiment in the paper is a ratio of two runs, and reproducible
 // ratios demand bit-identical scheduling decisions for a given seed.
 //
-// Two scheduling APIs share the queue. At/After take a closure and
-// return a caller-owned *Event — convenient for the detailed stack,
-// one or two heap allocations per schedule. Schedule/Reschedule take a
-// Caller (closure-free) and recycle events through a per-simulator
-// pool addressed by generation-checked Handles, so steady-state
-// scheduling allocates nothing — the fleet simulator's event budget
-// (hundreds of millions of events per run) depends on it.
+// The queue holds one event type with one lifecycle. A callback is
+// either a closure (At/After, convenient for the detailed stack) or a
+// Caller (Schedule/Reschedule, closure-free, for the fleet's timer
+// arms). Every event is drawn from a per-simulator free list, recycled
+// the moment it fires or its cancellation is reaped, and addressed
+// through the generation-checked Handle its scheduling call returns, so
+// steady-state scheduling allocates nothing — the fleet simulator's
+// event budget (hundreds of millions of events per run) depends on it.
 //
 // Higher layers (internal/hw, internal/hostos, internal/vmm) are written in
 // event-callback style rather than goroutine-per-process style: goroutine

@@ -2,57 +2,53 @@ package sim
 
 import "fmt"
 
-// Event is a scheduled callback. Events fire in (At, seq) order: ties on At
-// are broken by insertion order, which makes simultaneous events
+// event is one scheduled callback. Events fire in (at, seq) order: ties
+// on at are broken by insertion order, which makes simultaneous events
 // deterministic without requiring callers to avoid them.
 //
-// Events come in two flavours. At/After return a fresh *Event per call and
-// never recycle it, so holding the pointer (and calling Cancel at any later
-// point) is always safe. Schedule draws events from the simulator's free
-// pool and recycles them the moment they fire or their cancellation is
-// reaped; pooled events are addressed through generation-checked Handles,
-// never raw pointers.
-type Event struct {
-	At     Time   // virtual time at which the callback fires
-	Fn     func() // closure callback (At/After); nil for pooled events
-	Label  string // optional, names the event in panics and debugging
-	call   Caller // closure-free callback (Schedule); nil for At/After
+// Every event comes from the simulator's free list and goes back to it
+// the moment it fires or its cancellation is reaped, so callers never
+// hold one: they hold the generation-checked Handle the scheduling call
+// returned.
+type event struct {
+	at     Time   // virtual time at which the callback fires
+	label  string // optional, names the event in panics and debugging
+	call   Caller
 	seq    uint64 // insertion order, breaks ties
 	index  int    // heap index; -1 once popped or cancelled
 	gen    uint32 // bumped on every recycle, validates Handles
 	cancel bool
-	pooled bool
 }
 
-// Cancel marks the event so it will be discarded instead of fired. Cancelling
-// an already-fired event is a no-op. Cancel is O(1); the event is dropped
-// lazily when it reaches the top of the heap.
-func (e *Event) Cancel() { e.cancel = true }
-
-// Cancelled reports whether Cancel has been called.
-func (e *Event) Cancelled() bool { return e.cancel }
-
-// Caller is the closure-free callback of a pooled event: Fire receives the
-// virtual time the event was scheduled for. Implementations are typically
-// named pointer aliases of the model struct itself (see internal/grid's
-// timer arms), so scheduling allocates nothing at steady state.
+// Caller is an event's callback: Fire receives the virtual time the
+// event was scheduled for. Implementations are typically named pointer
+// aliases of the model struct itself (see internal/grid's timer arms),
+// so scheduling allocates nothing at steady state.
 type Caller interface {
 	Fire(now Time)
 }
 
-// Handle addresses one scheduled occurrence of a pooled event. A Handle
-// stays safe forever: once the occurrence fires or its cancellation is
-// reaped, the underlying Event is recycled with a bumped generation and the
-// stale Handle's Cancel/Active degrade to no-ops. The zero Handle is valid
-// and inert.
+// funcCaller adapts the closure of At/After to Caller. A func value is
+// pointer-shaped, so the conversion to the interface allocates nothing.
+type funcCaller func()
+
+func (f funcCaller) Fire(Time) { f() }
+
+// Handle addresses one scheduled occurrence of an event. A Handle stays
+// safe forever: once the occurrence fires or its cancellation is reaped,
+// the underlying event is recycled with a bumped generation and the
+// stale Handle's Cancel/Active degrade to no-ops. The zero Handle is
+// valid and inert.
 type Handle struct {
-	e   *Event
+	e   *event
 	gen uint32
 }
 
 // Cancel marks the occurrence for discard. Cancelling a fired, reaped, or
 // zero Handle is a no-op — the generation check prevents a stale Handle
-// from cancelling an unrelated occurrence that reused the Event.
+// from cancelling an unrelated occurrence that reused the event. Cancel
+// is O(1); the event is dropped lazily when it reaches the top of the
+// heap.
 func (h Handle) Cancel() {
 	if h.e != nil && h.e.gen == h.gen {
 		h.e.cancel = true
@@ -65,12 +61,12 @@ func (h Handle) Active() bool {
 }
 
 // cell is one slot of the event heap: the ordering key is kept inline so
-// comparisons never chase the Event pointer, and sifting moves 24-byte
+// comparisons never chase the event pointer, and sifting moves 24-byte
 // cells instead of swapping pointers three writes at a time.
 type cell struct {
 	at  Time
 	seq uint64
-	e   *Event
+	e   *event
 }
 
 func cellLess(a, b cell) bool {
@@ -85,7 +81,7 @@ func cellLess(a, b cell) bool {
 type Simulator struct {
 	now     Time
 	queue   []cell   // 4-ary min-heap on (at, seq)
-	free    []*Event // recycled pooled events
+	free    []*event // recycled events
 	seq     uint64
 	fired   uint64
 	running bool
@@ -169,16 +165,16 @@ func (s *Simulator) fix(i int) {
 }
 
 // push inserts e and assigns its sequence number.
-func (s *Simulator) push(e *Event) {
+func (s *Simulator) push(e *event) {
 	e.seq = s.seq
 	s.seq++
-	c := cell{at: e.At, seq: e.seq, e: e}
+	c := cell{at: e.at, seq: e.seq, e: e}
 	s.queue = append(s.queue, c)
 	s.up(len(s.queue)-1, c)
 }
 
 // pop removes and returns the earliest event.
-func (s *Simulator) pop() *Event {
+func (s *Simulator) pop() *event {
 	e := s.queue[0].e
 	n := len(s.queue) - 1
 	last := s.queue[n]
@@ -191,50 +187,43 @@ func (s *Simulator) pop() *Event {
 	return e
 }
 
-// At schedules fn to run at absolute virtual time at. Scheduling in the past
-// panics: it always indicates a model bug, and silently reordering time
-// would corrupt every measurement downstream.
-func (s *Simulator) At(at Time, label string, fn func()) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", label, at, s.now))
-	}
-	e := &Event{At: at, Fn: fn, Label: label}
-	s.push(e)
-	return e
+// At schedules fn to run at absolute virtual time at; see Schedule.
+func (s *Simulator) At(at Time, label string, fn func()) Handle {
+	return s.Schedule(at, label, funcCaller(fn))
 }
 
 // After schedules fn to run delay after the current time.
-func (s *Simulator) After(delay Time, label string, fn func()) *Event {
+func (s *Simulator) After(delay Time, label string, fn func()) Handle {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for event %q", delay, label))
 	}
 	return s.At(s.now+delay, label, fn)
 }
 
-// Schedule schedules c.Fire(at) at absolute virtual time at on a pooled
-// event: the Event is drawn from the simulator's free pool and recycled as
-// soon as it fires or its cancellation is reaped, so steady-state
-// scheduling allocates nothing. The returned Handle is the only valid way
-// to cancel the occurrence.
+// Schedule schedules c.Fire(at) at absolute virtual time at. The event is
+// drawn from the simulator's free list and recycled as soon as it fires
+// or its cancellation is reaped, so steady-state scheduling allocates
+// nothing. The returned Handle is the only way to cancel the occurrence.
+// Scheduling in the past panics: it always indicates a model bug, and
+// silently reordering time would corrupt every measurement downstream.
 func (s *Simulator) Schedule(at Time, label string, c Caller) Handle {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event %q at %v before now %v", label, at, s.now))
 	}
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.cancel = false
 	} else {
-		e = &Event{pooled: true}
+		e = &event{}
 	}
-	e.At, e.Label, e.call = at, label, c
+	e.at, e.label, e.call = at, label, c
 	s.push(e)
 	return Handle{e: e, gen: e.gen}
 }
 
-// Reschedule moves a still-pending pooled occurrence to a new time in
+// Reschedule moves a still-pending occurrence to a new time in
 // place (an O(log n) heap fix — cheaper than Cancel plus Schedule, and it
 // leaves no cancelled tombstone behind). It reports false when the Handle
 // is stale, cancelled, or already fired; the caller should then Schedule a
@@ -244,21 +233,18 @@ func (s *Simulator) Reschedule(h Handle, at Time) bool {
 		return false
 	}
 	if at < s.now {
-		panic(fmt.Sprintf("sim: rescheduling event %q to %v before now %v", h.e.Label, at, s.now))
+		panic(fmt.Sprintf("sim: rescheduling event %q to %v before now %v", h.e.label, at, s.now))
 	}
 	e := h.e
-	e.At = at
+	e.at = at
 	s.queue[e.index].at = at
 	s.fix(e.index)
 	return true
 }
 
-// release recycles a pooled event after it fired or its cancellation was
+// release recycles an event after it fired or its cancellation was
 // reaped. Bumping the generation invalidates every outstanding Handle.
-func (s *Simulator) release(e *Event) {
-	if !e.pooled {
-		return
-	}
+func (s *Simulator) release(e *event) {
 	e.gen++
 	e.call = nil
 	e.cancel = false
@@ -269,8 +255,8 @@ func (s *Simulator) release(e *Event) {
 func (s *Simulator) Stop() { s.stopped = true }
 
 // Reset returns the simulator to the zero-clock empty state while
-// keeping its allocations: queued pooled events are recycled into the
-// free pool (their generations bump, so outstanding Handles degrade to
+// keeping its allocations: queued events are recycled into the free
+// list (their generations bump, so outstanding Handles degrade to
 // no-ops exactly as after a fire), and the queue's backing array is
 // retained. A reset simulator is indistinguishable from New() to any
 // model code — sequence numbers, the clock, and the fired counter all
@@ -283,7 +269,7 @@ func (s *Simulator) Reset() {
 	}
 	for _, c := range s.queue {
 		c.e.index = -1
-		s.release(c.e) // non-pooled events are simply dropped
+		s.release(c.e)
 	}
 	clear(s.queue)
 	s.queue = s.queue[:0]
@@ -300,17 +286,13 @@ func (s *Simulator) step() bool {
 			s.release(e)
 			continue
 		}
-		s.now = e.At
+		s.now = e.at
 		s.fired++
-		if e.pooled {
-			// Recycle before firing: the callback may immediately
-			// schedule again and get this very event back.
-			c, at := e.call, e.At
-			s.release(e)
-			c.Fire(at)
-		} else {
-			e.Fn()
-		}
+		// Recycle before firing: the callback may immediately schedule
+		// again and get this very event back.
+		c, at := e.call, e.at
+		s.release(e)
+		c.Fire(at)
 		return true
 	}
 	return false
@@ -329,7 +311,7 @@ func (s *Simulator) Run() {
 	}
 }
 
-// RunUntil fires events with At <= deadline, then advances the clock to
+// RunUntil fires events at or before deadline, then advances the clock to
 // exactly deadline. Events scheduled at the deadline itself do fire.
 func (s *Simulator) RunUntil(deadline Time) {
 	if s.running {

@@ -153,8 +153,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if e.Active() {
+		t.Fatal("Active() = true after Cancel")
 	}
 }
 
@@ -481,7 +481,8 @@ type callerFunc func(Time)
 func (f callerFunc) Fire(now Time) { f(now) }
 
 // TestResetReusesPooledEvents: after a Reset, scheduling draws from the
-// free pool rather than allocating — the arena-reuse contract.
+// free list rather than allocating — the arena-reuse contract. It holds
+// for closures too: At/After wrap a preallocated fn without allocating.
 func TestResetReusesPooledEvents(t *testing.T) {
 	s := New()
 	c := &resetCaller{}
@@ -498,5 +499,13 @@ func TestResetReusesPooledEvents(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("schedule after Reset allocates %.1f per op, want 0", allocs)
+	}
+	fn := func() { c.fired++ }
+	allocs = testing.AllocsPerRun(10, func() {
+		s.After(Second, "x", fn)
+		s.Reset()
+	})
+	if allocs > 0 {
+		t.Fatalf("After after Reset allocates %.1f per op, want 0", allocs)
 	}
 }
