@@ -2,6 +2,7 @@ package main
 
 import (
 	"compress/gzip"
+	"errors"
 	"flag"
 	"io"
 	"os"
@@ -271,6 +272,59 @@ func TestParseEngineFlags(t *testing.T) {
 		{[]string{"-workers", "3", "-cache", "off", "-v"},
 			engineFlags{workers: 3, cache: "off", resume: true, verbose: true}},
 	})
+}
+
+// TestParseCountRanges: a -reps below 1 or a -workers below 0 is a
+// usage error naming the flag and its range, on every command that
+// declares it (report parses run's flags), instead of a value the
+// engine silently replaces. fleet and sweep tag it errUsage, and run
+// and report parse with flag.ExitOnError: both exit 2. -workers 0
+// still means GOMAXPROCS.
+func TestParseCountRanges(t *testing.T) {
+	parsers := map[string]func(args []string) error{
+		"run": func(args []string) error {
+			fs := flag.NewFlagSet("run", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			var rf runFlags
+			rf.register(fs)
+			return fs.Parse(args)
+		},
+		"fleet": func(args []string) error { _, err := parseFleetArgs(args); return err },
+		"sweep": func(args []string) error {
+			_, err := parseSweepArgs(append([]string{"-set", "envs=vmplayer"}, args...))
+			return err
+		},
+	}
+	const reps, workers = "flag -reps: outside the valid range n >= 1", "flag -workers: outside the valid range n >= 0"
+	for _, tc := range []struct {
+		cmd     string
+		args    []string
+		wantErr string // "" when the line must parse
+	}{
+		{"run", []string{"-reps", "0"}, `"0" for ` + reps},
+		{"run", []string{"-reps", "-1"}, `"-1" for ` + reps},
+		{"run", []string{"-reps", "1"}, ""},
+		{"run", []string{"-workers", "-3"}, `"-3" for ` + workers},
+		{"run", []string{"-workers", "0"}, ""},
+		{"run", []string{"-reps", "two"}, "flag -reps: invalid syntax"},
+		{"fleet", []string{"-workers", "-3"}, `"-3" for ` + workers},
+		{"fleet", []string{"-workers", "0"}, ""},
+		{"sweep", []string{"-workers", "-3"}, `"-3" for ` + workers},
+		{"sweep", []string{"-workers", "0"}, ""},
+	} {
+		err := parsers[tc.cmd](tc.args)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s %v: %v", tc.cmd, tc.args, err)
+		case tc.wantErr == "":
+		case err == nil:
+			t.Errorf("%s %v: accepted", tc.cmd, tc.args)
+		case !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s %v: error %q does not mention %q", tc.cmd, tc.args, err, tc.wantErr)
+		case tc.cmd != "run" && !errors.Is(err, errUsage):
+			t.Errorf("%s %v: error %q is not a usage error", tc.cmd, tc.args, err)
+		}
+	}
 }
 
 // TestFleetWritesCPUProfile: a fleet run with -cpuprofile leaves a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"vmdg/internal/core"
 	"vmdg/internal/engine"
@@ -23,8 +24,44 @@ type engineFlags struct {
 	cpuprof string
 }
 
+// atLeast is an int flag that refuses values below min when parsed, so
+// an out-of-range count is a usage error (exit 2) naming the flag,
+// rather than a value the engine silently replaces with its default.
+type atLeast struct {
+	n   *int
+	min int
+}
+
+// String also runs on a zero atLeast: the flag package renders one to
+// tell a default from a set value in help text.
+func (v atLeast) String() string {
+	if v.n == nil {
+		return "0"
+	}
+	return strconv.Itoa(*v.n)
+}
+
+func (v atLeast) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return err.(*strconv.NumError).Err
+	}
+	if int(n) < v.min {
+		return fmt.Errorf("outside the valid range n >= %d", v.min)
+	}
+	*v.n = int(n)
+	return nil
+}
+
+// intAtLeast declares an int flag with default def that parses only
+// values of at least min. The usage text names the range.
+func intAtLeast(fs *flag.FlagSet, p *int, name string, def, min int, usage string) {
+	*p = def
+	fs.Var(atLeast{p, min}, name, usage)
+}
+
 func (f *engineFlags) register(fs *flag.FlagSet) {
-	fs.IntVar(&f.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	intAtLeast(fs, &f.workers, "workers", 0, 0, "worker pool size, `n` >= 0 (0 = GOMAXPROCS)")
 	fs.StringVar(&f.cache, "cache", "", "shard cache directory; 'off' disables (default: the user cache dir)")
 	fs.BoolVar(&f.resume, "resume", true, "journal fold progress and resume an interrupted identical run (needs the cache)")
 	fs.BoolVar(&f.verbose, "v", false, "log per-shard progress to stderr")
@@ -99,7 +136,7 @@ type runFlags struct {
 func (f *runFlags) register(fs *flag.FlagSet) {
 	f.engineFlags.register(fs)
 	fs.Uint64Var(&f.seed, "seed", 1, "experiment seed (runs are deterministic per seed)")
-	fs.IntVar(&f.reps, "reps", 3, "measurement repetitions per data point")
+	intAtLeast(fs, &f.reps, "reps", 3, 1, "measurement repetitions per data point, `n` >= 1")
 	fs.BoolVar(&f.quick, "quick", false, "trim workload sizes (faster, noisier)")
 }
 

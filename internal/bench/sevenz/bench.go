@@ -89,9 +89,10 @@ func Run(seed uint64, block, passes int) Result {
 }
 
 // Profile captures the benchmark's cost profile for simulator replay: one
-// thread's work for the given passes. The capture runs the real codec once
-// (cached by callers); MIPS under an environment is
-// Result.Instructions() / simulated wall time.
+// thread's work for the given passes. Every call runs the real codec;
+// Profile caches nothing, so a caller that replays one capture many times
+// keeps it. MIPS under an environment is Result.Instructions() /
+// simulated wall time.
 func Profile(seed uint64, block, passes int) (*cost.Profile, Result) {
 	res := Run(seed, block, passes)
 	m := cost.NewMeter(fmt.Sprintf("7z-b%d-p%d", block, passes))

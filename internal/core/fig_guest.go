@@ -6,7 +6,6 @@ import (
 	"vmdg/internal/bench/iobench"
 	"vmdg/internal/bench/matrix"
 	"vmdg/internal/bench/netbench"
-	"vmdg/internal/bench/sevenz"
 	"vmdg/internal/cost"
 	"vmdg/internal/hostos"
 	"vmdg/internal/report"
@@ -60,7 +59,7 @@ func fig1Workload(cfg Config) (block, passes int) {
 // machine seeded Seed+r.
 func fig1Shard(cfg Config, r int) (ShardPayload, error) {
 	block, passes := fig1Workload(cfg)
-	p, run := sevenz.Profile(cfg.Seed+uint64(r), block, passes)
+	p, run := sevenzProfile(cfg.Seed+uint64(r), block, passes)
 	if !run.RoundTrip {
 		return nil, fmt.Errorf("7z codec round trip failed at rep %d", r)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vmdg/internal/bench/nbench"
-	"vmdg/internal/bench/sevenz"
 	"vmdg/internal/boinc"
 	"vmdg/internal/cost"
 	"vmdg/internal/hostos"
@@ -24,8 +23,8 @@ var hostPrios = [...]hostos.Priority{hostos.PrioNormal, hostos.PrioIdle}
 
 // targetKernelCycles stretches each NBench kernel to a duration long
 // enough to average over scheduler and service-thread periods.
-func targetKernelCycles(cfg Config) float64 {
-	if cfg.Quick {
+func targetKernelCycles(quick bool) float64 {
+	if quick {
 		return 1.2e8 // 50 ms at 2.4 GHz
 	}
 	return 7.2e8 // 300 ms
@@ -59,12 +58,13 @@ func runHostBench(host *hostos.OS, prog cost.Program) (sim.Time, error) {
 }
 
 // nbenchKernelProgram sizes kernel k's profile to the target duration.
-func nbenchKernelProgram(cfg Config, k nbench.Kernel, seed uint64) (*cost.Profile, error) {
+// Callers go through its memo, nbenchProgram.
+func nbenchKernelProgram(k nbench.Kernel, seed uint64, quick bool) (*cost.Profile, error) {
 	res := nbench.RunKernel(k, seed)
 	if !res.Check {
 		return nil, fmt.Errorf("core: nbench %v self-check failed", k)
 	}
-	iters := int(targetKernelCycles(cfg)/res.Counts.Cycles()) + 1
+	iters := int(targetKernelCycles(quick)/res.Counts.Cycles()) + 1
 	p, _ := nbench.Profile(k, seed, iters)
 	return p, nil
 }
@@ -75,7 +75,7 @@ func nbenchKernelProgram(cfg Config, k nbench.Kernel, seed uint64) (*cost.Profil
 func nbenchIndexOverhead(cfg Config, idx nbench.Index, prof vmm.Profile, prio hostos.Priority) (float64, error) {
 	var ratios []float64
 	for _, k := range idx.Members() {
-		prog, err := nbenchKernelProgram(cfg, k, cfg.Seed)
+		prog, err := nbenchProgram(k, cfg.Seed, cfg.Quick)
 		if err != nil {
 			return 0, err
 		}
@@ -189,7 +189,7 @@ func sevenzHostRates(cfg Config, prof *vmm.Profile, threads int, affinity uint64
 	if cfg.Quick {
 		block, passes = 256<<10, 1
 	}
-	p7z, run := sevenz.Profile(cfg.Seed, block, passes)
+	p7z, run := sevenzProfile(cfg.Seed, block, passes)
 	if !run.RoundTrip {
 		return 0, fmt.Errorf("core: 7z round trip failed")
 	}

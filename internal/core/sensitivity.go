@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vmdg/internal/bench/netbench"
-	"vmdg/internal/bench/sevenz"
 	"vmdg/internal/boinc"
 	"vmdg/internal/guestos"
 	"vmdg/internal/hostos"
@@ -38,7 +37,7 @@ func newHostWithBusK(seed uint64, busK float64) *hostos.OS {
 // ≈180%.
 func BusContentionSweep(cfg Config, ks []float64) (*report.Series, error) {
 	block, passes := 256<<10, 1
-	p7z, run := sevenz.Profile(cfg.Seed, block, passes)
+	p7z, run := sevenzProfile(cfg.Seed, block, passes)
 	if !run.RoundTrip {
 		return nil, fmt.Errorf("core: 7z round trip failed")
 	}

@@ -81,31 +81,34 @@ func newFake(name string, shards int) *fakeExp {
 
 // TestRunnerWorkerCountInvariance is the acceptance property: the same
 // seed produces bit-identical results whether the pool has one worker or
-// eight.
+// eight, for every non-fleet experiment. The eight-worker run goes
+// first, so core's per-process capture memos fill under contention and
+// the serial run replays what they hold.
 func TestRunnerWorkerCountInvariance(t *testing.T) {
-	exp, ok := Default.Lookup("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
-	serial := Runner{Workers: 1}
+	exps := Default.ByKind(KindFigure, KindAblation, KindSensitivity, KindExtension)
 	parallel := Runner{Workers: 8}
+	serial := Runner{Workers: 1}
 
-	a, _, err := serial.Run(quickCfg(), []Experiment{exp})
+	a, _, err := parallel.Run(quickCfg(), exps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := parallel.Run(quickCfg(), []Experiment{exp})
+	b, _, err := serial.Run(quickCfg(), exps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := b[0].Render(), a[0].Render(); got != want {
-		t.Errorf("render differs across worker counts:\n-- workers=1 --\n%s\n-- workers=8 --\n%s", want, got)
-	}
-	if !reflect.DeepEqual(a[0].Result.Values, b[0].Result.Values) {
-		t.Errorf("values differ: %v vs %v", a[0].Result.Values, b[0].Result.Values)
-	}
-	if string(a[0].Raw) != string(b[0].Raw) {
-		t.Errorf("raw payloads differ across worker counts")
+	for i, exp := range exps {
+		if got, want := b[i].Render(), a[i].Render(); got != want {
+			t.Errorf("%s: render differs across worker counts:\n-- workers=8 --\n%s\n-- workers=1 --\n%s",
+				exp.Name(), want, got)
+		}
+		if (a[i].Result == nil) != (b[i].Result == nil) ||
+			a[i].Result != nil && !reflect.DeepEqual(a[i].Result.Values, b[i].Result.Values) {
+			t.Errorf("%s: values differ across worker counts", exp.Name())
+		}
+		if string(a[i].Raw) != string(b[i].Raw) {
+			t.Errorf("%s: raw payloads differ across worker counts", exp.Name())
+		}
 	}
 }
 

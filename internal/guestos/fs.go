@@ -34,6 +34,7 @@ type gfile struct {
 	size    int64
 	diskOff int64 // contiguous on-device extent start
 	pages   map[int64]*page
+	dirty   int64 // count of dirty entries in pages
 }
 
 // FileSystem is a page-cached filesystem over a BlockDevice. Files occupy
@@ -96,13 +97,19 @@ func (fs *FileSystem) touch(p *page) {
 // insert adds a page to the cache, evicting clean LRU pages if needed.
 func (fs *FileSystem) insert(f *gfile, idx int64, dirty bool) *page {
 	if p, ok := f.pages[idx]; ok {
-		p.dirty = p.dirty || dirty
+		if dirty && !p.dirty {
+			p.dirty = true
+			f.dirty++
+		}
 		fs.touch(p)
 		return p
 	}
 	fs.evictFor(PageSize)
 	p := &page{file: f, index: idx, dirty: dirty}
 	f.pages[idx] = p
+	if dirty {
+		f.dirty++
+	}
 	fs.cached += PageSize
 	fs.touch(p)
 	fs.kernel.charge(pageFaultOps)
@@ -222,15 +229,10 @@ func (fs *FileSystem) write(g *GThread, name string, off, n int64) (blocked bool
 	return false
 }
 
-func (fs *FileSystem) dirtyBytes(f *gfile) int64 {
-	var d int64
-	for _, p := range f.pages {
-		if p.dirty {
-			d += PageSize
-		}
-	}
-	return d
-}
+// dirtyBytes reports a file's dirty page bytes. Only insert dirties a
+// page and only dirtyExtents cleans one (eviction and DropCaches drop
+// clean pages alone), so the two keep f.dirty exact.
+func (fs *FileSystem) dirtyBytes(f *gfile) int64 { return f.dirty * PageSize }
 
 // dirtyExtents groups a file's dirty pages into contiguous runs and marks
 // them clean (the caller is committing them to the device).
@@ -240,6 +242,7 @@ func (fs *FileSystem) dirtyExtents(f *gfile) [][2]int64 {
 		if p.dirty {
 			idxs = append(idxs, p.index)
 			p.dirty = false
+			f.dirty--
 		}
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })

@@ -1,6 +1,7 @@
 package guestos
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -115,6 +116,98 @@ func TestFSCacheAccountingProperty(t *testing.T) {
 		return cb >= 0 && cb%PageSize == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scanDirtyBytes is the page scan the per-file dirty counter replaced,
+// kept as the reference the counter must agree with.
+func scanDirtyBytes(f *gfile) int64 {
+	var d int64
+	for _, p := range f.pages {
+		if p.dirty {
+			d += PageSize
+		}
+	}
+	return d
+}
+
+// TestFSDirtyCounterMatchesScanProperty drives the filesystem directly
+// with seeded sequences of writes, reads, fsyncs and cache drops over
+// three files, with device completions interleaved. After every
+// operation and every completion, each file's counted dirtyBytes
+// equals a scan of its pages, and DirtyBytes equals their sum. Half the
+// cases run in a cache small enough to evict on most inserts; the
+// other half run in one large enough that writes past the writeback
+// high-water mark flush without evicting (eviction scans every cached
+// page, so the two together would be slow).
+func TestFSDirtyCounterMatchesScanProperty(t *testing.T) {
+	files := []string{"a", "b", "c"}
+	f := func(highWater bool, ops []uint32) bool {
+		s := sim.New()
+		d := &fakeDisk{s: s, latency: 100 * sim.Microsecond, bps: 600e6}
+		capacity := int64(256 << 10)
+		if highWater {
+			capacity = 64 << 20
+		}
+		k := NewKernel(KernelConfig{Sim: s, Disk: d, CacheBytes: capacity})
+		fs := k.FS
+		agree := func() bool {
+			var sum int64
+			for _, gf := range fs.files {
+				if fs.dirtyBytes(gf) != scanDirtyBytes(gf) {
+					return false
+				}
+				sum += scanDirtyBytes(gf)
+			}
+			return fs.DirtyBytes() == sum
+		}
+		// step delivers the device completions due at the next event
+		// time, as an interrupt would.
+		step := func() bool {
+			next, ok := s.NextEventTime()
+			if ok {
+				s.RunUntil(next)
+			}
+			return ok
+		}
+		// A blocking read or fsync parks its thread until the device
+		// completes; each gets its own so completions can overlap.
+		parked := func() *GThread { return &GThread{Name: "probe", kernel: k, state: gBlocked} }
+		for _, op := range ops {
+			name := files[op%3]
+			off := int64(op>>2%512) * 1024
+			n := int64(op>>11%64+1) * 1024
+			switch op >> 17 % 16 {
+			case 0:
+				if highWater {
+					n = writebackHighWater
+				}
+				fs.write(nil, name, off, n)
+			case 1, 2, 3, 4, 5:
+				fs.write(nil, name, off, n)
+			case 6, 7, 8:
+				fs.read(parked(), name, off, n)
+			case 9, 10:
+				fs.fsync(parked(), name)
+			case 11:
+				fs.DropCaches()
+			default:
+				step()
+			}
+			if !agree() {
+				return false
+			}
+		}
+		for step() {
+			if !agree() {
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
