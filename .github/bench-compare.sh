@@ -22,7 +22,7 @@ fi
 base_rev=$1
 
 seeds=(101 102 103 104 105)
-workloads=(fleet-steady serve-mix paper)
+workloads=(fleet-steady fleet-churn serve-mix paper)
 seconds=15
 
 root=$(pwd)

@@ -7,14 +7,14 @@ import (
 
 // Pool is the bounded worker pool every Runner.Run call executes on:
 // a call's private one, or one that any number of concurrent calls
-// share. Each run keeps its own FIFO queue of span units; the
-// pool's workers serve the queues round-robin, one unit per turn, so K
-// concurrent runs each see ~1/K of the workers instead of every run
-// spinning its own private pool and oversubscribing the machine K×.
-// Everything that makes a single run deterministic — the span-chunk
+// share. Each run keeps its own FIFO queue of units, one task each;
+// the pool's workers serve the queues round-robin, one unit per turn,
+// so K concurrent runs each see ~1/K of the workers instead of every
+// run spinning its own private pool and oversubscribing the machine K×.
+// Everything that makes a single run deterministic — the in-order
 // feeder, the permit-bounded reorder window, the in-order fold, the
 // manifest journal — lives per run and is untouched by sharing; the
-// pool only decides *which* run's next span a freed worker picks up.
+// pool only decides *which* run's next task a freed worker picks up.
 //
 // Runs sharing a Pool also share its single-flight group (see
 // flight.go): a shard payload needed by several concurrent runs is

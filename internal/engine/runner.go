@@ -161,34 +161,25 @@ type taskResult struct {
 	cached  bool
 }
 
-// spanChunk sizes the contiguous spans: long enough that a worker
-// amortizes its arena warm-up over several shards, short enough that
-// every worker gets multiple spans (load balance) even on short runs.
-func spanChunk(tasks, workers int) int {
-	c := tasks / (4 * workers)
-	if c < 1 {
-		c = 1
-	}
-	if c > 8 {
-		c = 8
-	}
-	return c
-}
+// windowPerWorker is how many tasks per pool worker dispatch may run
+// ahead of the in-order fold. It is sized for a run whose slowest shard
+// sits near the fold cursor: while one worker holds that shard (fig2's
+// 1024² multiply is about half of the paper pass's compute at two
+// workers), the other workers run the tasks behind it only as far as
+// the window reaches. At two workers a window of 64 covers the paper
+// pass's 59 tasks, so no worker waits on the slow one. The bound is a
+// constant per worker, so pending payloads do not grow with the shard
+// count.
+const windowPerWorker = 32
 
 // reorderWindow bounds how far task dispatch may run ahead of the
 // in-order fold: the collector holds at most this many out-of-order
 // payloads, so memory stays constant no matter how many shards a run
-// has. The window leaves every worker a couple of full spans of slack
-// so a slow shard does not idle the pool.
-func reorderWindow(workers, chunk int) int {
-	w := 4 * workers
-	if m := 2 * chunk * workers; m > w {
-		w = m
-	}
-	if w < 16 {
-		w = 16
-	}
-	return w
+// has. It never exceeds the run's task count, so a small run (a serve
+// warm replay is two tasks) allocates no permits, result slots or
+// pending capacity it cannot use.
+func reorderWindow(tasks, workers int) int {
+	return min(tasks, windowPerWorker*workers)
 }
 
 // flights resolves the single-flight group this run dedupes through:
@@ -221,8 +212,8 @@ func (r *Runner) Run(cfg core.Config, exps []Experiment) ([]*Outcome, Stats, err
 // RunContext is Run with a cancellation contract, the shape a
 // multi-tenant server needs: when ctx ends, the feeder stops
 // dispatching, tasks not yet started short-circuit, and the run returns
-// ctx's error within one span of in-flight work — without disturbing
-// any other run sharing the Pool, the cache, or the FlightGroup. A
+// ctx's error once its running tasks finish — without disturbing any
+// other run sharing the Pool, the cache, or the FlightGroup. A
 // canceled run that leads a shared flight either finishes that one
 // shard normally (the payload is published to cache and waiters as
 // usual) or, if it had not started simulating, retires the flight so a
@@ -331,9 +322,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		pool = NewPool(r.Workers)
 		defer pool.Close()
 	}
-	workers := pool.Workers()
-	chunk := spanChunk(len(tasks), workers)
-	window := reorderWindow(workers, chunk)
+	window := reorderWindow(len(tasks), pool.Workers())
 	permits := make(chan struct{}, window)
 	for i := 0; i < window; i++ {
 		permits <- struct{}{}
@@ -456,26 +445,20 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		results <- taskResult{ti: ti, payload: b}
 	}
 
-	// Feeder: submits contiguous spans of the task list, in index
-	// order, to this run's queue on the pool, acquiring one permit per
-	// task before a span goes out, so dispatch never runs more than
-	// window tasks ahead of the in-order fold (the collector returns a
-	// permit per folded task). That cap is what bounds the reorder
-	// buffer; the pool's round-robin only decides which run a freed
-	// worker serves next. Spans rather than single tasks are the
-	// locality schedule: a worker settles a run of adjacent shards —
-	// slices of the same scenario — on one warm per-worker arena, and
-	// their results land next to each other in the fold. On a
-	// multi-socket host this is also what keeps a shard range's slab
-	// memory on the NUMA node of the worker that first touched it.
+	// Feeder: submits the tasks, one pool unit each, in index order to
+	// this run's queue on the pool, acquiring one permit per task, so
+	// dispatch never runs more than window tasks ahead of the in-order
+	// fold (the collector returns a permit per folded task). That cap is
+	// what bounds the reorder buffer; the pool's round-robin only
+	// decides which run a freed worker serves next.
 	//
-	// Cancellation stops the feeder at the next permit: spans past the
+	// Cancellation stops the feeder at the next permit: tasks past the
 	// cancel point are never dispatched, so a canceled tenant's pool
 	// queue drains to nothing instead of cycling no-op tasks through the
 	// shared workers. The feeder always reports how many tasks it
 	// actually dispatched — that count, not len(tasks), is what the
 	// collector waits for. wg counts the feeder and every submitted
-	// span, so waiting on it leaves none of this run's work running.
+	// task, so waiting on it leaves none of this run's work running.
 	var wg sync.WaitGroup
 	dispatched := make(chan int, 1)
 	queue := pool.register()
@@ -484,23 +467,18 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		defer wg.Done()
 		n := 0
 		defer func() { dispatched <- n }()
-		for lo := 0; lo < len(tasks); lo += chunk {
-			hi := min(lo+chunk, len(tasks))
-			for i := lo; i < hi; i++ {
-				select {
-				case <-permits:
-				case <-ctx.Done():
-					return
-				}
+		for ti := range tasks {
+			select {
+			case <-permits:
+			case <-ctx.Done():
+				return
 			}
 			wg.Add(1)
 			queue.submit(func() {
 				defer wg.Done()
-				for ti := lo; ti < hi; ti++ {
-					runTask(ti)
-				}
+				runTask(ti)
 			})
-			n = hi
+			n = ti + 1
 		}
 	}()
 

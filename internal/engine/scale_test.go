@@ -11,8 +11,8 @@ import (
 )
 
 // scaleScenario draws one 100k+-host fleet scenario from a fixed-seed
-// stream: big enough that the span scheduler dispatches hundreds of
-// shards across every worker count under test, varied enough (policy,
+// stream: big enough that the runner dispatches hundreds of shards
+// across every worker count under test, varied enough (policy,
 // churn, faulty fraction, horizon) that invariance is checked on more
 // than one code path. A failure reproduces exactly from the seed.
 func scaleScenario(rng *rand.Rand) grid.Scenario {
@@ -33,8 +33,8 @@ func scaleScenario(rng *rand.Rand) grid.Scenario {
 // contract behind the multi-core fleet kernel: a six-figure-host
 // scenario must produce byte-identical table, CSV, and JSON artifacts
 // — and the same deterministic event sequence — whether one worker
-// runs every shard or eight workers race over contiguous spans of
-// them. Each run uses its own cold cache, so every worker count
+// runs every shard or eight workers race over them, one task at a
+// time. Each run uses its own cold cache, so every worker count
 // simulates every shard rather than replaying the first run's bytes.
 func TestScaleInvarianceAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,29 +126,107 @@ func TestEventsReportCacheHits(t *testing.T) {
 	}
 }
 
-// TestReorderWindowBounds sanity-checks the dispatch window floor and
-// its growth with the span chunk: the window must always cover two
-// full spans per worker, or the feeder would stall the pool waiting on
-// permits the collector cannot return.
+// TestSlowCursorTaskDoesNotIdlePool: while one worker holds the task
+// at the fold cursor, the other worker must be able to run every other
+// task of a paper-pass-sized run (59 tasks at two workers). Task 0 waits
+// until the other 58 have started; a window that stops dispatch short
+// of them leaves the second worker idle, and the wait times out.
+func TestSlowCursorTaskDoesNotIdlePool(t *testing.T) {
+	const tasks = 59
+	fake := newFake("slowcursor", tasks)
+	cfg := quickCfg()
+	cursor := CacheKey(fake.Scope(), cfg, 0)
+	var others atomic.Int64
+	allStarted := make(chan struct{})
+	var startedBeforeDeadline atomic.Int64
+	startedBeforeDeadline.Store(-1)
+	r := Runner{Workers: 2, taskGate: func(key string) {
+		if key != cursor {
+			if others.Add(1) == tasks-1 {
+				close(allStarted)
+			}
+			return
+		}
+		select {
+		case <-allStarted:
+		case <-time.After(3 * time.Second):
+			startedBeforeDeadline.Store(others.Load())
+		}
+	}}
+	if _, _, err := r.Run(cfg, []Experiment{fake}); err != nil {
+		t.Fatal(err)
+	}
+	if n := startedBeforeDeadline.Load(); n >= 0 {
+		t.Fatalf("only %d of %d other tasks could start while task 0 held the fold cursor", n, tasks-1)
+	}
+}
+
+// windowExp is a fakeExp whose every RunShard checks the dispatch bound
+// against the fold: shard must be below absorbed + window, where
+// absorbed counts the payloads its fold has absorbed. Absorb runs
+// before the collector returns the task's permit, so absorbed never
+// lags the permits handed back.
+type windowExp struct {
+	*fakeExp
+	window     int
+	absorbed   atomic.Int64
+	violations atomic.Int64
+}
+
+func (w *windowExp) RunShard(cfg core.Config, shard int) ([]byte, error) {
+	if int64(shard) >= w.absorbed.Load()+int64(w.window) {
+		w.violations.Add(1)
+	}
+	return w.fakeExp.RunShard(cfg, shard)
+}
+
+func (w *windowExp) Fold(cfg core.Config) (Fold, error) {
+	inner, err := w.fakeExp.Fold(cfg)
+	return &countingFold{Fold: inner, absorbed: &w.absorbed}, err
+}
+
+// countingFold counts the payloads its fold has absorbed.
+type countingFold struct {
+	Fold
+	absorbed *atomic.Int64
+}
+
+func (c *countingFold) Absorb(shard int, payload []byte) error {
+	err := c.Fold.Absorb(shard, payload)
+	c.absorbed.Add(1)
+	return err
+}
+
+// TestReorderWindowBounds pins the other side of the window: in a run
+// with more tasks than the window, no task starts window or more tasks
+// ahead of the fold, for any worker count. The window itself is
+// min(tasks, 32·workers): at least one task for any non-empty run, and
+// never more permits than the run has tasks.
 func TestReorderWindowBounds(t *testing.T) {
-	if w := reorderWindow(1, 1); w != 16 {
-		t.Errorf("reorderWindow(1, 1) = %d, want the floor 16", w)
-	}
-	if w := reorderWindow(8, 1); w != 32 {
-		t.Errorf("reorderWindow(8, 1) = %d, want 32", w)
-	}
-	if w := reorderWindow(8, 8); w != 128 {
-		t.Errorf("reorderWindow(8, 8) = %d, want 2 spans per worker = 128", w)
-	}
 	for workers := 1; workers <= 16; workers++ {
 		for tasks := 1; tasks <= 600; tasks += 7 {
-			chunk := spanChunk(tasks, workers)
-			if chunk < 1 || chunk > 8 {
-				t.Fatalf("spanChunk(%d, %d) = %d outside [1, 8]", tasks, workers, chunk)
+			w := reorderWindow(tasks, workers)
+			if w != min(tasks, 32*workers) || w < 1 {
+				t.Fatalf("reorderWindow(%d, %d) = %d, want min(tasks, 32·workers) = %d",
+					tasks, workers, w, min(tasks, 32*workers))
 			}
-			if w := reorderWindow(workers, chunk); w < 2*chunk*workers {
-				t.Fatalf("reorderWindow(%d, %d) = %d below two spans per worker", workers, chunk, w)
-			}
+		}
+	}
+	const tasks = 300
+	for _, workers := range []int{1, 2, 8} {
+		exp := &windowExp{fakeExp: newFake("window", tasks), window: reorderWindow(tasks, workers)}
+		if exp.window >= tasks {
+			t.Fatalf("workers=%d: window %d covers all %d tasks; the run cannot test the bound", workers, exp.window, tasks)
+		}
+		r := Runner{Workers: workers}
+		if _, _, err := r.Run(quickCfg(), []Experiment{exp}); err != nil {
+			t.Fatal(err)
+		}
+		if v := exp.violations.Load(); v != 0 {
+			t.Errorf("workers=%d: %d tasks started %d or more tasks ahead of the fold", workers, v, exp.window)
+		}
+		if got := exp.absorbed.Load(); got != tasks {
+			t.Errorf("workers=%d: fold absorbed %d of %d payloads", workers, got, tasks)
 		}
 	}
 }

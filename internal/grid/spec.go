@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 )
@@ -458,7 +459,9 @@ func ParseSpec(data []byte) (Spec, error) {
 	if err := dec.Decode(&sp); err != nil {
 		return Spec{}, fmt.Errorf("grid: parsing spec: %w", err)
 	}
-	if dec.More() {
+	// More() would miss a stray closing delimiter such as the second
+	// brace of {"version":1}}: only the end of the input may follow.
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
 		return Spec{}, fmt.Errorf("grid: parsing spec: trailing data after the JSON document")
 	}
 	if sp.Version == 0 {

@@ -126,6 +126,9 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		{"unknown field", `{"version":1,"machines":[64],"polciy":["fifo"]}`, "polciy"},
 		{"missing version", `{"machines":[64]}`, "version"},
 		{"trailing data", `{"version":1}{"version":2}`, "trailing"},
+		{"stray closing brace", `{"version":1}}`, "trailing"},
+		{"stray closing bracket", `{"version":1}]`, "trailing"},
+		{"trailing garbage", `{"version":1} garbage`, "trailing"},
 		{"not json", `machines=64`, "parsing spec"},
 	} {
 		_, err := ParseSpec([]byte(tc.in))

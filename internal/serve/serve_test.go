@@ -388,23 +388,34 @@ func TestAdmissionSaturationAnswers429(t *testing.T) {
 	}
 }
 
+// badRequests are bodies POST /v1/sweeps must answer with a 400, each
+// with a fragment its JSON error must contain ("" for any error).
+var badRequests = []struct{ body, wantErr string }{
+	{`{not json`, "decoding request"},
+	{`{"unknown_field":1}`, "unknown_field"},
+	{`{"set":["nosuchaxis=1"]}`, ""},
+	{`{"spec":{"version":1,"machines":[-5]}}`, ""},
+	// Non-finite floats are rejected before any shard runs.
+	{`{"set":["deadline_min=NaN"]}`, ""},
+	{`{"set":["deadline_min=+Inf"]}`, ""},
+	{`{"set":["faulty=NaN"]}`, ""},
+	{`{"set":["bandwidth=NaN"]}`, ""},
+	{`{"set":["bandwidth=+Inf"]}`, ""},
+	// One object per body: whatever follows it is refused, not ignored.
+	{`{"spec":` + smallSpec + `} {"set":["machines=5000000"]}`, trailingData},
+	{`{"spec":` + smallSpec + `}garbage`, trailingData},
+	{`{"spec":` + smallSpec + `}}`, trailingData},
+	{`{"spec":` + smallSpec + `}]`, trailingData},
+}
+
+const trailingData = "decoding request: trailing data after the JSON document"
+
 // TestBadRequests: malformed bodies and invalid specs are 400s with a
 // JSON error, not admitted runs.
 func TestBadRequests(t *testing.T) {
 	ts, _ := newServer(t, 0, nil)
-	for _, body := range []string{
-		`{not json`,
-		`{"unknown_field":1}`,
-		`{"set":["nosuchaxis=1"]}`,
-		`{"spec":{"version":1,"machines":[-5]}}`,
-		// Non-finite floats are rejected before any shard runs.
-		`{"set":["deadline_min=NaN"]}`,
-		`{"set":["deadline_min=+Inf"]}`,
-		`{"set":["faulty=NaN"]}`,
-		`{"set":["bandwidth=NaN"]}`,
-		`{"set":["bandwidth=+Inf"]}`,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	for _, tc := range badRequests {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +425,9 @@ func TestBadRequests(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&eb)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || err != nil || eb.Error == "" {
-			t.Errorf("POST %q = %s (decode err %v), want 400 with a JSON error", body, resp.Status, err)
+			t.Errorf("POST %q = %s (decode err %v), want 400 with a JSON error", tc.body, resp.Status, err)
+		} else if !strings.Contains(eb.Error, tc.wantErr) {
+			t.Errorf("POST %q: error %q does not mention %q", tc.body, eb.Error, tc.wantErr)
 		}
 	}
 }

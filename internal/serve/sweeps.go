@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -27,6 +28,23 @@ type SweepRequest struct {
 	Set   []string        `json:"set,omitempty"`
 	Seed  uint64          `json:"seed,omitempty"`
 	Quick bool            `json:"quick,omitempty"`
+}
+
+// DecodeSweepRequest parses a POST /v1/sweeps body: one JSON document
+// with no unknown fields, followed by nothing but whitespace.
+func DecodeSweepRequest(body []byte) (SweepRequest, error) {
+	var req SweepRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return SweepRequest{}, fmt.Errorf("decoding request: %w", err)
+	}
+	// More() would miss a stray closing delimiter such as the second
+	// brace of {"spec":{...}}}: only the end of the input may follow.
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return SweepRequest{}, errors.New("decoding request: trailing data after the JSON document")
+	}
+	return req, nil
 }
 
 // Resolve builds the normalized, validated spec the request describes,
@@ -120,11 +138,9 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading request: " + err.Error()})
 		return
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding request: " + err.Error()})
+	req, err := DecodeSweepRequest(body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	sp, err := req.Resolve()
