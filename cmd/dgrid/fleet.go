@@ -39,29 +39,32 @@ type fleetOpts struct {
 	quick bool
 }
 
-// parseFleetArgs parses and validates the fleet command line. Flag
-// defaults come from the spec's own normalization, so the help text
-// can never drift from what an unset field actually runs (the spec
-// layer owns the seed and faulty-fraction defaults that
-// Scenario.Normalize cannot express).
+// parseFleetArgs parses and validates the fleet command line. Each
+// axis flag is bound to the one value of its axis in a normalized spec,
+// so a flag's default is what an unset axis runs and the help text can
+// never drift from it (the spec layer owns the seed and faulty-fraction
+// defaults that Scenario.Normalize cannot express).
 func parseFleetArgs(args []string) (*fleetOpts, error) {
-	def := grid.Spec{}.Normalize()
+	sp := grid.Spec{}.Normalize()
 	o := &fleetOpts{}
 	fs := flag.NewFlagSet("dgrid fleet", flag.ContinueOnError)
 	o.engineFlags.register(fs)
 	o.outFlags.register(fs, "fleet")
-	machines := fs.Int("machines", def.Machines[0], "volunteer machines in the fleet")
-	minutes := fs.Int("minutes", def.Minutes[0], "virtual minutes to simulate")
+	fs.IntVar(&sp.Machines[0], "machines", sp.Machines[0], "volunteer machines in the fleet")
+	fs.IntVar(&sp.Minutes[0], "minutes", sp.Minutes[0], "virtual minutes to simulate")
 	env := fs.String("env", "", "single VM environment (default: the paper's four)")
-	fs.Uint64Var(&o.seed, "seed", def.Seed, "simulation seed (runs are deterministic per seed)")
-	churn := fs.Bool("churn", def.Churn[0], "enable volunteer availability churn (power on/off sessions)")
-	policy := fs.String("policy", def.Policy[0], "scheduling policy: "+strings.Join(grid.Policies(), ", "))
-	replication := fs.Int("replication", def.Replication[0], "quorum size (replication policy)")
-	deadline := fs.Float64("deadline", def.DeadlineMin[0], "work-unit deadline in virtual minutes (deadline policy)")
-	faulty := fs.Float64("faulty", def.FaultyFrac[0], "fraction of hosts returning corrupted results")
-	migration := fs.String("migration", def.Migration[0],
+	fs.Uint64Var(&o.seed, "seed", sp.Seed, "simulation seed (runs are deterministic per seed)")
+	fs.BoolVar(&sp.Churn[0], "churn", sp.Churn[0],
+		"enable volunteer availability churn (power on/off sessions)")
+	fs.StringVar(&sp.Policy[0], "policy", sp.Policy[0],
+		"scheduling policy: "+strings.Join(grid.Policies(), ", "))
+	fs.IntVar(&sp.Replication[0], "replication", sp.Replication[0], "quorum size (replication policy)")
+	fs.Float64Var(&sp.DeadlineMin[0], "deadline", sp.DeadlineMin[0],
+		"work-unit deadline in virtual minutes (deadline policy)")
+	fs.Float64Var(&sp.FaultyFrac[0], "faulty", sp.FaultyFrac[0], "fraction of hosts returning corrupted results")
+	fs.StringVar(&sp.Migration[0], "migration", sp.Migration[0],
 		"checkpoint migration policy: "+strings.Join(grid.MigrationPolicies(), ", "))
-	bandwidth := fs.Float64("bandwidth", def.Bandwidth[0],
+	fs.Float64Var(&sp.Bandwidth[0], "bandwidth", sp.Bandwidth[0],
 		"server frontend transfer capacity per population slice, Mbit/s (migration policies)")
 	fs.BoolVar(&o.quick, "quick", false, "trim calibration windows (faster, noisier)")
 	if err := fs.Parse(args); err != nil {
@@ -74,24 +77,11 @@ func parseFleetArgs(args []string) (*fleetOpts, error) {
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments %v (fleet takes flags only, e.g. -machines 10000)", fs.Args())
 	}
-	if err := validateFleetFlags(*machines, *minutes, *replication, *policy); err != nil {
+	if err := validateFleetFlags(sp.Machines[0], sp.Minutes[0], sp.Replication[0], sp.Policy[0]); err != nil {
 		return nil, err
 	}
 
-	sp := grid.Spec{
-		Version:     grid.SpecVersion,
-		Seed:        o.seed,
-		Quick:       o.quick,
-		Machines:    []int{*machines},
-		Minutes:     []int{*minutes},
-		Churn:       []bool{*churn},
-		Policy:      []string{*policy},
-		Replication: []int{*replication},
-		DeadlineMin: []float64{*deadline},
-		FaultyFrac:  []float64{*faulty},
-		Migration:   []string{*migration},
-		Bandwidth:   []float64{*bandwidth},
-	}
+	sp.Seed, sp.Quick = o.seed, o.quick
 	if *env != "" {
 		sp.Envs = []string{*env}
 	}

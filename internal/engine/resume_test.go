@@ -254,6 +254,49 @@ func TestResumeAfterPayloadEviction(t *testing.T) {
 	}
 }
 
+// TestResumeRecomputesCorruptedPayloads overwrites two journaled
+// payloads with valid JSON that fails their digests, one at the end of
+// the verified prefix and one past it. The re-run must recompute both
+// instead of folding the cached bytes, and its Puts must repair the
+// cache, so a third run replays everything.
+func TestResumeRecomputesCorruptedPayloads(t *testing.T) {
+	fake := func() Experiment { return newFake("stalefake", 6) }
+	cfg := quickCfg()
+	dir := t.TempDir()
+
+	base, _, err := runOnce(t, durableRunner(t, dir, 2, nil), cfg, fake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []int{3, 5} {
+		path := filepath.Join(dir, keyHash(CacheKey("stalefake", cfg, shard))+".json")
+		if err := os.WriteFile(path, []byte(`{"v":1000}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	exp := newFake("stalefake", 6)
+	out, stats, err := durableRunner(t, dir, 2, nil).Run(cfg, []Experiment{exp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Render() != base[0].Render() {
+		t.Fatalf("folded corrupted payloads:\n%s\nwant\n%s", out[0].Render(), base[0].Render())
+	}
+	if stats.Misses != 2 || exp.runs.Load() != 2 || stats.Resumed != 3 {
+		t.Errorf("re-run: %d misses, %d shard runs, %d resumed; want 2, 2 and the 3 verified records",
+			stats.Misses, exp.runs.Load(), stats.Resumed)
+	}
+
+	out, stats, err = runOnce(t, durableRunner(t, dir, 2, nil), cfg, fake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Render() != base[0].Render() || stats.Misses != 0 || stats.Resumed != 6 {
+		t.Errorf("after repair: %d misses, %d resumed, want 0 and 6; output\n%s", stats.Misses, stats.Resumed, out[0].Render())
+	}
+}
+
 // TestResumeIdentityMismatch: a different spec (or seed) derives a
 // different manifest identity, so nothing resumes across runs that are
 // not byte-equivalent — and both manifests coexist in the store.

@@ -257,15 +257,18 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		}
 	}
 
-	// Durable fold: verify any prior manifest's record prefix against
-	// the cache (the resume point), then open the journal — atomically
-	// rewritten to exactly that verified prefix — for this run's
+	// Durable fold: verify any prior manifest's records against the
+	// cache (the resume point), then open the journal — atomically
+	// rewritten to exactly the verified prefix — for this run's
 	// appends. Tasks inside the prefix replay from cache; tasks past it
-	// run normally and are journaled as the fold absorbs them.
+	// run normally and are journaled as the fold absorbs them. A stale
+	// task, whose cached bytes fail their journaled digest, never reads
+	// the cache: it is recomputed and its Put replaces the bad bytes.
 	var (
 		journal  *Journal
 		jHashes  []string
 		resumed  int
+		stale    map[int]bool
 		jKept    []ManifestRecord
 		manifest = r.Manifests != nil && r.Cache != nil && len(tasks) > 0
 	)
@@ -276,7 +279,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		}
 		id := manifestIdentity(jHashes)
 		if m, err := r.Manifests.Load(id); err == nil {
-			resumed = verifyResume(m, tasks, jHashes, r.Cache)
+			resumed, stale = verifyResume(m, tasks, jHashes, r.Cache)
 			if m != nil {
 				jKept = m.Records[:resumed]
 			}
@@ -341,6 +344,10 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 			return
 		}
 		t := tasks[ti]
+		cache := r.Cache
+		if stale[ti] {
+			cache = nil
+		}
 		// Any destination computes the same payload; run the first and
 		// let the collector fan the bytes out.
 		first := t.dests[0]
@@ -348,8 +355,8 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		if r.taskGate != nil {
 			r.taskGate(t.key)
 		}
-		if r.Cache != nil {
-			if b, ok := r.Cache.Get(t.key); ok {
+		if cache != nil {
+			if b, ok := cache.Get(t.key); ok {
 				hits.Add(int64(len(t.dests)))
 				results <- taskResult{ti: ti, payload: b, cached: true}
 				return
@@ -384,8 +391,8 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 					// is still ours to resolve: re-check the cache (a
 					// different flight may have landed meanwhile) and
 					// re-contend for leadership.
-					if r.Cache != nil {
-						if b, ok := r.Cache.Get(t.key); ok {
+					if cache != nil {
+						if b, ok := cache.Get(t.key); ok {
 							hits.Add(int64(len(t.dests)))
 							results <- taskResult{ti: ti, payload: b, cached: true}
 							return
@@ -405,8 +412,8 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 			// left its payload behind. The re-check is what guarantees
 			// each key is computed at most once per process no matter
 			// how runs interleave.
-			if r.Cache != nil {
-				if b, ok := r.Cache.Get(t.key); ok {
+			if cache != nil {
+				if b, ok := cache.Get(t.key); ok {
 					flightShared.Add(int64(flights.complete(t.key, fc, b, nil)))
 					hits.Add(int64(len(t.dests)))
 					results <- taskResult{ti: ti, payload: b, cached: true}
@@ -602,28 +609,40 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 	return outcomes, stats, nil
 }
 
-// verifyResume returns the length of the manifest prefix the cache can
-// still vouch for: records must be contiguous from zero, must name the
-// key hashes the current task list derives (same canonical order), and
-// must hash to payload bytes the cache holds. Everything past the first
-// failure — an evicted payload, a corrupted entry, a torn journal tail
-// — re-simulates.
-func verifyResume(m *Manifest, tasks []task, hashes []string, cache Cache) int {
+// verifyResume checks every record of a manifest against the cache. It
+// returns the length of the prefix the cache can still vouch for:
+// records contiguous from zero that name the key hashes the current
+// task list derives (same canonical order) and hash to payload bytes
+// the cache holds. It also returns the stale tasks, each one whose
+// record names its key hash but whose cached bytes hash to another
+// digest. Past the prefix a task runs normally, so an evicted payload
+// or one behind a torn journal tail is computed; a stale task must
+// also skip the cache, or it would fold the corrupted bytes.
+func verifyResume(m *Manifest, tasks []task, hashes []string, cache Cache) (n int, stale map[int]bool) {
 	if m == nil || m.Tasks != len(tasks) {
-		return 0
+		return 0, nil
 	}
-	n := 0
+	prefix := true
 	for i, rec := range m.Records {
 		if i >= len(tasks) || rec.KeyHash != hashes[i] {
-			break
+			prefix = false
+			continue
 		}
 		b, ok := cache.Get(tasks[i].key)
-		if !ok || payloadDigest(b) != rec.Digest {
-			break
+		switch {
+		case ok && payloadDigest(b) != rec.Digest:
+			if stale == nil {
+				stale = map[int]bool{}
+			}
+			stale[i] = true
+			prefix = false
+		case !ok:
+			prefix = false
+		case prefix:
+			n = i + 1
 		}
-		n = i + 1
 	}
-	return n
+	return n, stale
 }
 
 // RunNames resolves names against the Default registry and runs them.

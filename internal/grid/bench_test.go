@@ -75,3 +75,31 @@ func BenchmarkDeadlineAssign(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkResolveSpec times the spec work one served sweep does before
+// it runs: ResolveSpec on the request's document, then the Normalize,
+// Validate and Points of engine.NewSweep and the SweptAxes, NPoints and
+// Migrates of the admission log and the renderers. The document is the
+// first spec of loadgen.DefaultSpecMix, written out here because this
+// package cannot import loadgen.
+func BenchmarkResolveSpec(b *testing.B) {
+	doc := []byte(`{"version":1,"quick":true,"envs":["vmplayer"],"machines":[60],"minutes":[30],"churn":[true],"policy":["fifo"]}`)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp, err := ResolveSpec(doc, nil, 0, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp = sp.Normalize()
+		if err := sp.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		pts, err := sp.Points()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(pts) != 1 || len(sp.SweptAxes()) != 0 || sp.NPoints() != 1 || sp.Migrates() {
+			b.Fatal("the document is one unmigrated point")
+		}
+	}
+}

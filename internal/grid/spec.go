@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -99,128 +100,111 @@ func (p Point) Label() string {
 	return b.String()
 }
 
-// axis is one named, sweepable Spec dimension: its length, canonical
-// value strings, the Scenario field it sets, and its -set parser. The
-// table keeps expansion, labelling, and overrides in lockstep — adding
-// an axis is one entry here, not four switch arms.
+// defaultScenario is the point an empty spec describes: what every
+// unset axis takes. The spec layer adds the faulty default that
+// Scenario.Normalize cannot express.
+var defaultScenario = Scenario{FaultyFrac: DefaultFaultyFrac}.Normalize()
+
+// axis is one named, sweepable Spec dimension. newAxis derives every
+// per-axis operation from the axis's Spec list and Scenario field, so
+// specAxes is the one place an axis is declared: expansion, labels,
+// -set overrides, defaults, validation and parsing all read it.
 type axis struct {
 	name  string
 	len   func(sp *Spec) int
 	value func(sp *Spec, i int) string
 	apply func(scn *Scenario, sp *Spec, i int)
 	set   func(sp *Spec, list string) error
+	// empty replaces an empty list with from's value, or with nil when
+	// from is nil.
+	empty func(sp *Spec, from *Scenario)
+	// check rejects an explicit entry that breaks the axis's rule.
+	check func(sp *Spec) error
 }
 
-func specAxes() []axis {
-	return []axis{
-		{
-			name:  "machines",
-			len:   func(sp *Spec) int { return len(sp.Machines) },
-			value: func(sp *Spec, i int) string { return strconv.Itoa(sp.Machines[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.Machines = sp.Machines[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.Machines, err = parseIntList(list)
-				return
-			},
+// newAxis builds the axis named name over the Spec list and Scenario
+// field its accessors address. format renders one value canonically
+// and parse reads a -set list. rule, if non-nil, returns why a value is
+// invalid, or "" for a valid one.
+func newAxis[T any](name string, list func(*Spec) *[]T, field func(*Scenario) *T,
+	format func(T) string, parse func(string) ([]T, error), rule func(T) string) axis {
+	return axis{
+		name:  name,
+		len:   func(sp *Spec) int { return len(*list(sp)) },
+		value: func(sp *Spec, i int) string { return format((*list(sp))[i]) },
+		apply: func(scn *Scenario, sp *Spec, i int) { *field(scn) = (*list(sp))[i] },
+		set: func(sp *Spec, s string) (err error) {
+			*list(sp), err = parse(s)
+			return err
 		},
-		{
-			name:  "minutes",
-			len:   func(sp *Spec) int { return len(sp.Minutes) },
-			value: func(sp *Spec, i int) string { return strconv.Itoa(sp.Minutes[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.Minutes = sp.Minutes[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.Minutes, err = parseIntList(list)
-				return
-			},
+		empty: func(sp *Spec, from *Scenario) {
+			if l := list(sp); len(*l) == 0 {
+				*l = nil
+				if from != nil {
+					*l = []T{*field(from)}
+				}
+			}
 		},
-		{
-			name:  "churn",
-			len:   func(sp *Spec) int { return len(sp.Churn) },
-			value: func(sp *Spec, i int) string { return onOff(sp.Churn[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.Churn = sp.Churn[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.Churn, err = parseBoolList(list)
-				return
-			},
-		},
-		{
-			name:  "policy",
-			len:   func(sp *Spec) int { return len(sp.Policy) },
-			value: func(sp *Spec, i int) string { return sp.Policy[i] },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.Policy = sp.Policy[i] },
-			set: func(sp *Spec, list string) error {
-				sp.Policy = parseStringList(list)
+		check: func(sp *Spec) error {
+			if rule == nil {
 				return nil
-			},
-		},
-		{
-			name:  "replication",
-			len:   func(sp *Spec) int { return len(sp.Replication) },
-			value: func(sp *Spec, i int) string { return strconv.Itoa(sp.Replication[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.Replication = sp.Replication[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.Replication, err = parseIntList(list)
-				return
-			},
-		},
-		{
-			name:  "deadline_min",
-			len:   func(sp *Spec) int { return len(sp.DeadlineMin) },
-			value: func(sp *Spec, i int) string { return formatFloat(sp.DeadlineMin[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.DeadlineMin = sp.DeadlineMin[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.DeadlineMin, err = parseFloatList(list)
-				return
-			},
-		},
-		{
-			name:  "faulty",
-			len:   func(sp *Spec) int { return len(sp.FaultyFrac) },
-			value: func(sp *Spec, i int) string { return formatFloat(sp.FaultyFrac[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.FaultyFrac = sp.FaultyFrac[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.FaultyFrac, err = parseFloatList(list)
-				return
-			},
-		},
-		{
-			name:  "chunks_per_unit",
-			len:   func(sp *Spec) int { return len(sp.ChunksPerUnit) },
-			value: func(sp *Spec, i int) string { return strconv.Itoa(sp.ChunksPerUnit[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.ChunksPerUnit = sp.ChunksPerUnit[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.ChunksPerUnit, err = parseIntList(list)
-				return
-			},
-		},
-		{
-			name:  "migration",
-			len:   func(sp *Spec) int { return len(sp.Migration) },
-			value: func(sp *Spec, i int) string { return sp.Migration[i] },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.Migration = sp.Migration[i] },
-			set: func(sp *Spec, list string) error {
-				sp.Migration = parseStringList(list)
-				return nil
-			},
-		},
-		{
-			name:  "bandwidth",
-			len:   func(sp *Spec) int { return len(sp.Bandwidth) },
-			value: func(sp *Spec, i int) string { return formatFloat(sp.Bandwidth[i]) },
-			apply: func(scn *Scenario, sp *Spec, i int) { scn.BandwidthMbps = sp.Bandwidth[i] },
-			set: func(sp *Spec, list string) (err error) {
-				sp.Bandwidth, err = parseFloatList(list)
-				return
-			},
+			}
+			for _, v := range *list(sp) {
+				if why := rule(v); why != "" {
+					return fmt.Errorf("grid: spec axis %s value %v %s", name, v, why)
+				}
+			}
+			return nil
 		},
 	}
 }
 
+// specAxes lists the axes in canonical expansion order (first axis
+// outermost). The rules reject explicit values that Scenario.Normalize
+// would read as unset and silently replace with its default.
+var specAxes = []axis{
+	newAxis("machines", func(sp *Spec) *[]int { return &sp.Machines },
+		func(s *Scenario) *int { return &s.Machines }, strconv.Itoa, parseIntList, atLeastOne),
+	newAxis("minutes", func(sp *Spec) *[]int { return &sp.Minutes },
+		func(s *Scenario) *int { return &s.Minutes }, strconv.Itoa, parseIntList, atLeastOne),
+	newAxis("churn", func(sp *Spec) *[]bool { return &sp.Churn },
+		func(s *Scenario) *bool { return &s.Churn }, onOff, parseBoolList, nil),
+	newAxis("policy", func(sp *Spec) *[]string { return &sp.Policy },
+		func(s *Scenario) *string { return &s.Policy }, verbatim, parseStrings, nil),
+	newAxis("replication", func(sp *Spec) *[]int { return &sp.Replication },
+		func(s *Scenario) *int { return &s.Replication }, strconv.Itoa, parseIntList, atLeastOne),
+	newAxis("deadline_min", func(sp *Spec) *[]float64 { return &sp.DeadlineMin },
+		func(s *Scenario) *float64 { return &s.DeadlineMin }, formatFloat, parseFloatList, positive),
+	newAxis("faulty", func(sp *Spec) *[]float64 { return &sp.FaultyFrac },
+		func(s *Scenario) *float64 { return &s.FaultyFrac }, formatFloat, parseFloatList, nil),
+	newAxis("chunks_per_unit", func(sp *Spec) *[]int { return &sp.ChunksPerUnit },
+		func(s *Scenario) *int { return &s.ChunksPerUnit }, strconv.Itoa, parseIntList, atLeastOne),
+	newAxis("migration", func(sp *Spec) *[]string { return &sp.Migration },
+		func(s *Scenario) *string { return &s.Migration }, verbatim, parseStrings, nil),
+	newAxis("bandwidth", func(sp *Spec) *[]float64 { return &sp.Bandwidth },
+		func(s *Scenario) *float64 { return &s.BandwidthMbps }, formatFloat, parseFloatList, positive),
+}
+
+func atLeastOne(v int) string {
+	if v < 1 {
+		return "must be at least 1"
+	}
+	return ""
+}
+
+// positive lets NaN through: Scenario.Validate rejects it with the
+// point's label.
+func positive(v float64) string {
+	if v <= 0 {
+		return "must be positive"
+	}
+	return ""
+}
+
 // AxisNames lists every sweepable axis, in expansion order.
 func AxisNames() []string {
-	axs := specAxes()
-	names := make([]string, len(axs))
-	for i, a := range axs {
+	names := make([]string, len(specAxes))
+	for i, a := range specAxes {
 		names[i] = a.name
 	}
 	return names
@@ -236,39 +220,11 @@ func (sp Spec) Normalize() Spec {
 	if sp.Seed == 0 {
 		sp.Seed = DefaultSeed
 	}
-	def := Scenario{}.Normalize()
 	if len(sp.Envs) == 0 {
-		sp.Envs = def.Envs
+		sp.Envs = slices.Clone(defaultScenario.Envs)
 	}
-	if len(sp.Machines) == 0 {
-		sp.Machines = []int{def.Machines}
-	}
-	if len(sp.Minutes) == 0 {
-		sp.Minutes = []int{def.Minutes}
-	}
-	if len(sp.Churn) == 0 {
-		sp.Churn = []bool{false}
-	}
-	if len(sp.Policy) == 0 {
-		sp.Policy = []string{def.Policy}
-	}
-	if len(sp.Replication) == 0 {
-		sp.Replication = []int{def.Replication}
-	}
-	if len(sp.DeadlineMin) == 0 {
-		sp.DeadlineMin = []float64{def.DeadlineMin}
-	}
-	if len(sp.FaultyFrac) == 0 {
-		sp.FaultyFrac = []float64{DefaultFaultyFrac}
-	}
-	if len(sp.ChunksPerUnit) == 0 {
-		sp.ChunksPerUnit = []int{def.ChunksPerUnit}
-	}
-	if len(sp.Migration) == 0 {
-		sp.Migration = []string{def.Migration}
-	}
-	if len(sp.Bandwidth) == 0 {
-		sp.Bandwidth = []float64{def.BandwidthMbps}
+	for _, a := range specAxes {
+		a.empty(&sp, &defaultScenario)
 	}
 	return sp
 }
@@ -276,12 +232,7 @@ func (sp Spec) Normalize() Spec {
 // Migrates reports whether any point of the (normalized) spec migrates
 // checkpoints — the switch for the sweep's extra table/CSV columns.
 func (sp Spec) Migrates() bool {
-	for _, m := range sp.Normalize().Migration {
-		if m != "none" {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(sp.Migration, func(m string) bool { return m != "none" })
 }
 
 // NPoints reports the size of the cartesian grid, capped at
@@ -289,7 +240,7 @@ func (sp Spec) Migrates() bool {
 func (sp Spec) NPoints() int {
 	sp = sp.Normalize()
 	total := 1
-	for _, a := range specAxes() {
+	for _, a := range specAxes {
 		total *= a.len(&sp)
 		if total > MaxSweepPoints {
 			return MaxSweepPoints + 1
@@ -303,7 +254,7 @@ func (sp Spec) NPoints() int {
 func (sp Spec) SweptAxes() []string {
 	sp = sp.Normalize()
 	var names []string
-	for _, a := range specAxes() {
+	for _, a := range specAxes {
 		if a.len(&sp) > 1 {
 			names = append(names, a.name)
 		}
@@ -319,22 +270,20 @@ func (sp Spec) SweptAxes() []string {
 // keys caches by scenario, not index.
 func (sp Spec) Points() ([]Point, error) {
 	sp = sp.Normalize()
-	if n := sp.NPoints(); n > MaxSweepPoints {
-		return nil, fmt.Errorf("grid: spec expands to more than %d points", MaxSweepPoints)
-	}
-	axs := specAxes()
-	dims := make([]int, len(axs))
+	dims := make([]int, len(specAxes))
 	total := 1
-	for i, a := range axs {
+	for i, a := range specAxes {
 		dims[i] = a.len(&sp)
-		total *= dims[i]
+		if total *= dims[i]; total > MaxSweepPoints {
+			return nil, fmt.Errorf("grid: spec expands to more than %d points", MaxSweepPoints)
+		}
 	}
 	pts := make([]Point, 0, total)
-	idx := make([]int, len(axs))
+	idx := make([]int, len(specAxes))
 	for k := 0; k < total; k++ {
 		scn := Scenario{Seed: sp.Seed, Quick: sp.Quick, Envs: sp.Envs}
 		var avs []AxisValue
-		for i, a := range axs {
+		for i, a := range specAxes {
 			a.apply(&scn, &sp, idx[i])
 			if dims[i] > 1 {
 				avs = append(avs, AxisValue{Axis: a.name, Value: a.value(&sp, idx[i])})
@@ -361,32 +310,11 @@ func (sp Spec) Validate() error {
 	if sp.Version != SpecVersion {
 		return fmt.Errorf("grid: unsupported spec version %d (this build reads version %d)", sp.Version, SpecVersion)
 	}
-	// Positivity checks come first: Scenario.Normalize treats <= 0 as
-	// "unset" and substitutes defaults, which is right for a zero
-	// value but wrong for an explicit list entry.
-	for _, ax := range []struct {
-		name string
-		vals []int
-	}{
-		{"machines", sp.Machines},
-		{"minutes", sp.Minutes},
-		{"replication", sp.Replication},
-		{"chunks_per_unit", sp.ChunksPerUnit},
-	} {
-		for _, v := range ax.vals {
-			if v < 1 {
-				return fmt.Errorf("grid: spec axis %s value %d must be at least 1", ax.name, v)
-			}
-		}
-	}
-	for _, v := range sp.DeadlineMin {
-		if v <= 0 {
-			return fmt.Errorf("grid: spec axis deadline_min value %g must be positive", v)
-		}
-	}
-	for _, v := range sp.Bandwidth {
-		if v <= 0 {
-			return fmt.Errorf("grid: spec axis bandwidth value %g must be positive", v)
+	// The axis rules come first: each point's Scenario.Normalize would
+	// replace an explicit non-positive entry with its default.
+	for _, a := range specAxes {
+		if err := a.check(&sp); err != nil {
+			return err
 		}
 	}
 	pts, err := sp.Points()
@@ -437,7 +365,7 @@ func (sp *Spec) Set(assign string) error {
 		sp.Name = strings.TrimSpace(list)
 		return nil
 	}
-	for _, a := range specAxes() {
+	for _, a := range specAxes {
 		if a.name == name {
 			if err := a.set(sp, list); err != nil {
 				return fmt.Errorf("grid: -set %s: %w", name, err)
@@ -469,17 +397,12 @@ func ParseSpec(data []byte) (Spec, error) {
 	}
 	// An empty list means "unset", as an absent field does, and JSON
 	// omits both; holding it as nil keeps ParseSpec(sp.JSON()) == sp.
-	sp.Envs = nilIfEmpty(sp.Envs)
-	sp.Machines = nilIfEmpty(sp.Machines)
-	sp.Minutes = nilIfEmpty(sp.Minutes)
-	sp.Churn = nilIfEmpty(sp.Churn)
-	sp.Policy = nilIfEmpty(sp.Policy)
-	sp.Replication = nilIfEmpty(sp.Replication)
-	sp.DeadlineMin = nilIfEmpty(sp.DeadlineMin)
-	sp.FaultyFrac = nilIfEmpty(sp.FaultyFrac)
-	sp.ChunksPerUnit = nilIfEmpty(sp.ChunksPerUnit)
-	sp.Migration = nilIfEmpty(sp.Migration)
-	sp.Bandwidth = nilIfEmpty(sp.Bandwidth)
+	if len(sp.Envs) == 0 {
+		sp.Envs = nil
+	}
+	for _, a := range specAxes {
+		a.empty(&sp, nil)
+	}
 	return sp, nil
 }
 
@@ -512,13 +435,6 @@ func ResolveSpec(doc []byte, sets []string, seed uint64, quick bool) (Spec, erro
 	return sp, sp.Validate()
 }
 
-func nilIfEmpty[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
-}
-
 // JSON renders the spec as indented JSON — the round-trip partner of
 // ParseSpec. (Not a MarshalText/MarshalJSON method: Spec must keep its
 // plain struct encoding when embedded in larger payloads.)
@@ -529,6 +445,8 @@ func (sp Spec) JSON() ([]byte, error) {
 	}
 	return append(b, '\n'), nil
 }
+
+func verbatim(s string) string { return s }
 
 func onOff(b bool) string {
 	if b {
@@ -655,6 +573,9 @@ func parseBool(s string) (bool, error) {
 	}
 	return false, fmt.Errorf("%q is not a boolean (on/off, true/false)", s)
 }
+
+// parseStrings is parseStringList in the shape newAxis parses with.
+func parseStrings(list string) ([]string, error) { return parseStringList(list), nil }
 
 func parseStringList(list string) []string {
 	var out []string

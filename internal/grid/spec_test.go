@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -206,6 +207,12 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"future version", func(sp *Spec) { sp.Version = SpecVersion + 1 }, "unsupported spec version"},
 		{"zero machines", func(sp *Spec) { sp.Machines = []int{64, 0} }, "machines"},
 		{"zero minutes", func(sp *Spec) { sp.Minutes = []int{0} }, "minutes"},
+		{"zero replication", func(sp *Spec) { sp.Replication = []int{2, 0} },
+			"grid: spec axis replication value 0 must be at least 1"},
+		{"zero chunks per unit", func(sp *Spec) { sp.ChunksPerUnit = []int{0} },
+			"grid: spec axis chunks_per_unit value 0 must be at least 1"},
+		{"zero deadline", func(sp *Spec) { sp.DeadlineMin = []float64{0} },
+			"grid: spec axis deadline_min value 0 must be positive"},
 		{"negative deadline", func(sp *Spec) { sp.DeadlineMin = []float64{-1} }, "deadline_min"},
 		{"bad policy labels point", func(sp *Spec) {
 			sp.Policy = []string{"fifo", "lifo"}
@@ -236,6 +243,74 @@ func TestSpecValidateErrors(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
+// TestSpecAxesTable pins each axis table entry to its own Spec list and
+// Scenario field: the list's JSON tag is the axis name, in expansion
+// order, and setting the axis to one non-default value moves exactly
+// that field of the expanded scenario.
+func TestSpecAxesTable(t *testing.T) {
+	var tags []string
+	st := reflect.TypeOf(Spec{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Type.Kind() == reflect.Slice && f.Name != "Envs" {
+			tag, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			tags = append(tags, tag)
+		}
+	}
+	if !reflect.DeepEqual(tags, AxisNames()) {
+		t.Fatalf("Spec list tags %v, want the axes %v", tags, AxisNames())
+	}
+
+	base, err := Spec{}.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := reflect.ValueOf(base[0].Scenario)
+	for _, tc := range []struct{ axis, value, field string }{
+		{"machines", "300", "Machines"},
+		{"minutes", "7", "Minutes"},
+		{"churn", "on", "Churn"},
+		{"policy", "deadline", "Policy"},
+		{"replication", "3", "Replication"},
+		{"deadline_min", "45", "DeadlineMin"},
+		{"faulty", "0.1", "FaultyFrac"},
+		{"chunks_per_unit", "5", "ChunksPerUnit"},
+		{"migration", "eager", "Migration"},
+		{"bandwidth", "100", "BandwidthMbps"},
+	} {
+		var sp Spec
+		if err := sp.Set(tc.axis + "=" + tc.value); err != nil {
+			t.Fatalf("%s: %v", tc.axis, err)
+		}
+		pts, err := sp.Points()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.axis, err)
+		}
+		got := reflect.ValueOf(pts[0].Scenario)
+		var moved []string
+		for i := 0; i < got.NumField(); i++ {
+			if !reflect.DeepEqual(got.Field(i).Interface(), def.Field(i).Interface()) {
+				moved = append(moved, got.Type().Field(i).Name)
+			}
+		}
+		if !reflect.DeepEqual(moved, []string{tc.field}) {
+			t.Errorf("-set %s=%s moved scenario fields %v, want [%s]", tc.axis, tc.value, moved, tc.field)
+		}
+		tags = slices.DeleteFunc(tags, func(s string) bool { return s == tc.axis })
+	}
+	if len(tags) > 0 {
+		t.Errorf("axes %v have no field check", tags)
+	}
+
+	// Normalize copies the default environments; a spec that edits its
+	// own list must not change the next spec's defaults.
+	sp := Spec{}.Normalize()
+	sp.Envs[0] = "edited"
+	if (Spec{}).Normalize().Envs[0] == "edited" {
+		t.Fatal("Normalize shares its default environment list between specs")
 	}
 }
 

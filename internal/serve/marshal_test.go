@@ -104,31 +104,35 @@ func TestMarshalEventKinds(t *testing.T) {
 	}
 }
 
+// resultFrameCases are result frames worth pinning: whole artifacts —
+// ASCII tables full of newlines, CSV, embedded JSON — and empty ones.
+// They also seed FuzzResultFrame.
+var resultFrameCases = []struct {
+	name string
+	res  SweepResult
+}{
+	{"empty table", SweepResult{Name: "sweep", Table: "", CSV: "", JSON: json.RawMessage(`{}`)}},
+	{"multi-line table", SweepResult{
+		Name:  "sweep",
+		Table: "policy  machines  done\nfifo    60        8\ndeadline 90       7\n",
+		CSV:   "policy,machines,done\r\nfifo,60,8\r\n",
+		JSON:  json.RawMessage(`{"variants":[{"label":"policy=fifo"}]}`),
+		Stats: RunStats{Experiments: 1, Shards: 4, Misses: 4, ElapsedMS: 12},
+	}},
+	{"quotes and utf-8", SweepResult{
+		Name:  `sweep "quoted"`,
+		Table: "env: qemu—π\n\"quoted cell\"\n",
+		CSV:   `env,"with,comma"` + "\n",
+		JSON:  json.RawMessage(`{"name":"π 🛰"}`),
+	}},
+}
+
 // TestResultFrameRoundTrip: the terminal result frame carries whole
-// artifacts — ASCII tables full of newlines, CSV, embedded JSON — and
-// must survive the same single-line framing. Empty artifacts (a table
-// with no rows, an empty CSV) must round-trip too, not degenerate to
-// null or a missing field.
+// artifacts and must survive the same single-line framing. Empty
+// artifacts (a table with no rows, an empty CSV) must round-trip too,
+// not degenerate to null or a missing field.
 func TestResultFrameRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		res  SweepResult
-	}{
-		{"empty table", SweepResult{Name: "sweep", Table: "", CSV: "", JSON: json.RawMessage(`{}`)}},
-		{"multi-line table", SweepResult{
-			Name:  "sweep",
-			Table: "policy  machines  done\nfifo    60        8\ndeadline 90       7\n",
-			CSV:   "policy,machines,done\r\nfifo,60,8\r\n",
-			JSON:  json.RawMessage(`{"variants":[{"label":"policy=fifo"}]}`),
-			Stats: RunStats{Experiments: 1, Shards: 4, Misses: 4, ElapsedMS: 12},
-		}},
-		{"quotes and utf-8", SweepResult{
-			Name:  `sweep "quoted"`,
-			Table: "env: qemu—π\n\"quoted cell\"\n",
-			CSV:   `env,"with,comma"` + "\n",
-			JSON:  json.RawMessage(`{"name":"π 🛰"}`),
-		}},
-	} {
+	for _, tc := range resultFrameCases {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := json.Marshal(tc.res)
 			if err != nil {

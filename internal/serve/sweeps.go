@@ -185,86 +185,64 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	log.Info("sweep admitted",
 		"points", sp.NPoints(), "axes", strings.Join(sp.SweptAxes(), "x"), "seed", sp.Seed, "quick", sp.Quick)
 
-	if wantsSSE(r) {
-		s.streamSweep(w, r, log, runner, cfg, exp)
-	} else {
-		s.bufferSweep(w, r, log, runner, cfg, exp)
-	}
+	s.answerSweep(w, r, log, runner, cfg, exp)
 }
 
-// wantsSSE reports whether the client asked for a progress stream.
-func wantsSSE(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-}
-
-// bufferSweep is the plain-JSON fallback: run to completion, answer
-// with the full SweepResult.
-func (s *Server) bufferSweep(w http.ResponseWriter, r *http.Request, log *slog.Logger,
+// answerSweep runs the sweep and answers it. A client that asks for a
+// progress stream, on a writer that can flush, gets Server-Sent Events:
+// one "shard" frame per folded task and one "merged" frame per
+// experiment, in the engine's deterministic collector order, then a
+// final "result" frame carrying the same SweepResult the plain-JSON
+// answer is (or an "error" frame). The engine calls OnEvent from the
+// collector goroutine, which here is the handler's own, so frames are
+// written race-free and in order. Any other client gets the result, or
+// the error, as one JSON body once the run completes.
+func (s *Server) answerSweep(w http.ResponseWriter, r *http.Request, log *slog.Logger,
 	runner *engine.Runner, cfg core.Config, exp engine.Experiment) {
-	outcomes, stats, err := runner.RunContext(r.Context(), cfg, []engine.Experiment{exp})
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone; there is no one to answer.
-			s.ctr.canceled.Add(1)
-			log.Info("sweep canceled", "reason", "client disconnected", "folded", stats.Hits+stats.Misses)
-			return
+	fl, canFlush := w.(http.Flusher)
+	sse := canFlush && strings.Contains(r.Header.Get("Accept"), "text/event-stream")
+	if sse {
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+		w.WriteHeader(http.StatusOK)
+		fl.Flush()
+		runner.OnEvent = func(ev engine.Event) {
+			name := "shard"
+			if ev.Kind == engine.EventExperimentMerged {
+				name = "merged"
+			}
+			writeSSE(w, fl, name, MarshalEvent(ev))
 		}
-		s.ctr.failed.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		log.Error("sweep failed", "err", err)
-		return
-	}
-	// Compact, not indented: re-indenting would reformat the embedded
-	// JSON artifact, which must stay byte-identical to the CLI's.
-	s.ctr.completed.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	b, _ := json.Marshal(sweepResult(outcomes[0], stats))
-	w.Write(append(b, '\n'))
-	logDone(log, stats)
-}
-
-// streamSweep answers as Server-Sent Events: one "shard" frame per
-// folded task and one "merged" frame per experiment — in the engine's
-// deterministic collector order — then a final "result" frame carrying
-// the same SweepResult the buffered path returns. The engine calls
-// OnEvent from the collector goroutine, which here is the handler's
-// own, so frames are written race-free and in order.
-func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, log *slog.Logger,
-	runner *engine.Runner, cfg core.Config, exp engine.Experiment) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		s.bufferSweep(w, r, log, runner, cfg, exp)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	runner.OnEvent = func(ev engine.Event) {
-		name := "shard"
-		if ev.Kind == engine.EventExperimentMerged {
-			name = "merged"
-		}
-		writeSSE(w, fl, name, MarshalEvent(ev))
 	}
 	outcomes, stats, err := runner.RunContext(r.Context(), cfg, []engine.Experiment{exp})
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.ctr.canceled.Add(1)
-			log.Info("sweep canceled", "reason", "client disconnected", "folded", stats.Hits+stats.Misses)
-			return
-		}
+	switch {
+	case err != nil && r.Context().Err() != nil:
+		// The client is gone; there is no one to answer.
+		s.ctr.canceled.Add(1)
+		log.Info("sweep canceled", "reason", "client disconnected", "folded", stats.Hits+stats.Misses)
+	case err != nil:
 		s.ctr.failed.Add(1)
-		b, _ := json.Marshal(errorBody{Error: err.Error()})
-		writeSSE(w, fl, "error", b)
+		if sse {
+			b, _ := json.Marshal(errorBody{Error: err.Error()})
+			writeSSE(w, fl, "error", b)
+		} else {
+			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		}
 		log.Error("sweep failed", "err", err)
-		return
+	default:
+		s.ctr.completed.Add(1)
+		// Compact, not indented: re-indenting would reformat the
+		// embedded JSON artifact, which must stay byte-identical to the
+		// CLI's.
+		b, _ := json.Marshal(sweepResult(outcomes[0], stats))
+		if sse {
+			writeSSE(w, fl, "result", b)
+		} else {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(append(b, '\n'))
+		}
+		logDone(log, stats)
 	}
-	s.ctr.completed.Add(1)
-	b, _ := json.Marshal(sweepResult(outcomes[0], stats))
-	writeSSE(w, fl, "result", b)
-	logDone(log, stats)
 }
 
 func sweepResult(o *engine.Outcome, stats engine.Stats) SweepResult {
