@@ -129,7 +129,7 @@ func cmdFleet(args []string) error {
 // it runs exp (named what in progress lines) under the engine flags and
 // prints its one outcome as the output flags ask.
 func runFleetExperiment(what string, ef *engineFlags, of *outFlags, cfg core.Config, exp engine.Experiment) (err error) {
-	stop, err := startCPUProfile(ef.cpuprof)
+	stop, err := ef.startProfiles()
 	if err != nil {
 		return err
 	}
@@ -155,7 +155,7 @@ func runFleetExperiment(what string, ef *engineFlags, of *outFlags, cfg core.Con
 		fmt.Println(res.Render())
 	}
 	if of.out != "" {
-		if err := writeArtifacts(of.out, outcomes); err != nil {
+		if err := writeArtifacts(of.out, outcomes, ef.quiet); err != nil {
 			return err
 		}
 	}

@@ -265,12 +265,13 @@ func TestParseCPUProfileFlag(t *testing.T) {
 	})
 }
 
-// TestParseEngineFlags: the runner flags (-workers, -cache, -v) land
-// on the same fields for run, fleet and sweep.
+// TestParseEngineFlags: the runner flags (-workers, -cache, -v) and
+// -memprofile land on the same fields for run, fleet and sweep.
 func TestParseEngineFlags(t *testing.T) {
 	checkEngineFlags(t, []engineFlagCase{
 		{[]string{"-workers", "3", "-cache", "off", "-v"},
 			engineFlags{workers: 3, cache: "off", resume: true, verbose: true}},
+		{[]string{"-memprofile", "mem.prof"}, engineFlags{resume: true, memprof: "mem.prof"}},
 	})
 }
 
@@ -337,6 +338,24 @@ func TestFleetWritesCPUProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkProfile(t, path)
+}
+
+// TestFleetWritesMemProfile: the same for -memprofile's heap profile.
+func TestFleetWritesMemProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mem.prof")
+	err := cmdFleet([]string{"-machines", "16", "-minutes", "1", "-env", "vmplayer", "-quick",
+		"-cache", "off", "-quiet", "-json", "-memprofile", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkProfile(t, path)
+}
+
+// checkProfile fails t unless path holds a non-empty gzip-framed body,
+// as pprof writes a profile.
+func checkProfile(t *testing.T, path string) {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -350,6 +369,57 @@ func TestFleetWritesCPUProfile(t *testing.T) {
 	if err != nil || len(body) == 0 {
 		t.Fatalf("profile body: %d bytes, %v", len(body), err)
 	}
+}
+
+// TestFleetQuietSilencesArtifactLine: with -quiet, a fleet run that
+// writes artifacts prints nothing on stderr and still writes them;
+// without it, stderr names the artifacts written.
+func TestFleetQuietSilencesArtifactLine(t *testing.T) {
+	for _, quiet := range []bool{true, false} {
+		dir := t.TempDir()
+		args := []string{"-machines", "16", "-minutes", "1", "-env", "vmplayer", "-quick",
+			"-cache", "off", "-json", "-out", dir}
+		if quiet {
+			args = append(args, "-quiet")
+		}
+		stderr, err := fleetStderr(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := "dgrid: wrote 1 artifacts to " + dir + "\n"
+		switch {
+		case quiet && stderr != "":
+			t.Errorf("-quiet: stderr = %q, want nothing", stderr)
+		case !quiet && !strings.Contains(stderr, line):
+			t.Errorf("stderr = %q, want it to contain %q", stderr, line)
+		}
+		for _, name := range []string{"fleet.json", "fleet.csv"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("quiet=%v: %v", quiet, err)
+			}
+		}
+	}
+}
+
+// fleetStderr runs `dgrid fleet args` with os.Stderr redirected into a
+// pipe and returns what the command wrote there.
+func fleetStderr(args []string) (string, error) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		return "", err
+	}
+	defer r.Close()
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	orig := os.Stderr
+	os.Stderr = w
+	err = cmdFleet(args)
+	os.Stderr = orig
+	w.Close()
+	return string(<-read), err
 }
 
 // TestParseServeArgs: defaults, overrides, and the rejections that keep

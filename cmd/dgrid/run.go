@@ -14,7 +14,7 @@ import (
 
 // engineFlags are the engine options `run`, `report`, `fleet` and
 // `sweep` share: the worker pool, the shard cache and its resume
-// journal, stderr verbosity, and a CPU profile of the run.
+// journal, stderr verbosity, and CPU and heap profiles of the run.
 type engineFlags struct {
 	workers int
 	cache   string
@@ -22,6 +22,7 @@ type engineFlags struct {
 	verbose bool
 	quiet   bool
 	cpuprof string
+	memprof string
 }
 
 // atLeast is an int flag that refuses values below min when parsed, so
@@ -67,6 +68,7 @@ func (f *engineFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.verbose, "v", false, "log per-shard progress to stderr")
 	fs.BoolVar(&f.quiet, "quiet", false, "suppress progress and summary lines on stderr")
 	fs.StringVar(&f.cpuprof, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&f.memprof, "memprofile", "", "write a heap profile to this file when the run ends")
 }
 
 // newRunner builds the worker pool the flags describe. Progress and
@@ -190,7 +192,7 @@ func cmdRun(args []string) (err error) {
 	if names == "" {
 		names = "all"
 	}
-	stop, err := startCPUProfile(rf.cpuprof)
+	stop, err := rf.startProfiles()
 	if err != nil {
 		return err
 	}
@@ -210,7 +212,7 @@ func cmdRun(args []string) (err error) {
 	}
 	engine.Emit(os.Stdout, outcomes, *csv)
 	if *out != "" {
-		if err := writeArtifacts(*out, outcomes); err != nil {
+		if err := writeArtifacts(*out, outcomes, rf.quiet); err != nil {
 			return err
 		}
 	}
@@ -221,8 +223,9 @@ func cmdRun(args []string) (err error) {
 }
 
 // writeArtifacts stores each outcome as <dir>/<name>.json (the merged
-// payload) and, for experiments with tabular data, <dir>/<name>.csv.
-func writeArtifacts(dir string, outcomes []*engine.Outcome) error {
+// payload) and, for experiments with tabular data, <dir>/<name>.csv,
+// and says so on stderr unless quiet.
+func writeArtifacts(dir string, outcomes []*engine.Outcome, quiet bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -236,7 +239,9 @@ func writeArtifacts(dir string, outcomes []*engine.Outcome) error {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "dgrid: wrote %d artifacts to %s\n", len(outcomes), dir)
+	if !quiet {
+		fmt.Fprintf(os.Stderr, "dgrid: wrote %d artifacts to %s\n", len(outcomes), dir)
+	}
 	return nil
 }
 
@@ -264,7 +269,7 @@ func cmdReport(args []string) (err error) {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stop, err := startCPUProfile(rf.cpuprof)
+	stop, err := rf.startProfiles()
 	if err != nil {
 		return err
 	}

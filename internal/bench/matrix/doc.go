@@ -5,8 +5,10 @@
 // component (the naive loop order walks one operand column-wise).
 //
 // The operation counts model that naive column-walk loop, which is what
-// the simulated guest runs. The host forms the same sums row by row, so
-// the product is bit-identical to the naive loop's at a fraction of the
-// host time. Run checks every product with Freivalds' test, since no
-// figure depends on its values.
+// the simulated guest runs. They depend on the size alone, so Figure 2
+// replays CountsFor, their closed form, and forms no product. Multiply,
+// Run and verify are the reference that closed form is pinned to:
+// Multiply forms the same sums row by row, bit-identical to the naive
+// loop's, and tallies the counts as it goes; Run checks its product
+// with Freivalds' test.
 package matrix

@@ -49,6 +49,15 @@ func Multiply(a, b []float64, n int) ([]float64, cost.Counts) {
 	return c, ops
 }
 
+// CountsFor is the closed form of what Multiply tallies at size n:
+// n rows of 2n² FP, ⌊n²/4⌋ memory and ⌊n²/2⌋ integer operations. The
+// counts depend on n alone, so Figure 2 replays them without forming a
+// product.
+func CountsFor(n int) cost.Counts {
+	m := uint64(n)
+	return cost.Counts{FPOps: 2 * m * m * m, MemOps: m * (m * m / 4), IntOps: m * (m * m / 2)}
+}
+
 // GenOperand builds a deterministic matrix with entries in [-1, 1).
 func GenOperand(seed uint64, n int) []float64 {
 	rng := sim.NewRNG(seed)
@@ -126,14 +135,14 @@ func verify(a, b, c []float64, n int, seed uint64) bool {
 	return true
 }
 
-// Profile captures the benchmark for simulator replay: reps multiplications
-// at size n (the paper repeats each test ≥50 times; replay makes that
-// cheap).
-func Profile(seed uint64, n, reps int) (*cost.Profile, Result) {
-	res := Run(seed, n)
+// Profile is the benchmark as the simulator replays it: reps
+// multiplications at size n (the paper repeats each test ≥50 times;
+// replay makes that cheap).
+func Profile(n, reps int) *cost.Profile {
+	ops := CountsFor(n)
 	m := cost.NewMeter(fmt.Sprintf("matrix-%d", n))
 	for r := 0; r < reps; r++ {
-		m.Ops(res.Counts)
+		m.Ops(ops)
 	}
-	return m.Profile(), res
+	return m.Profile()
 }

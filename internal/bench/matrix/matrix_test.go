@@ -5,8 +5,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"vmdg/internal/cost"
 )
 
 func TestMultiplyIdentity(t *testing.T) {
@@ -114,10 +112,8 @@ func TestDeterministicChecksum(t *testing.T) {
 }
 
 func TestProfileRepeats(t *testing.T) {
-	p, res := Profile(1, 32, 5)
-	if !res.Verified {
-		t.Fatal("Profile's product failed verification")
-	}
+	res := mustRun(t, 1, 32)
+	p := Profile(32, 5)
 	want := res.Counts.Cycles() * 5
 	if math.Abs(p.TotalCycles()-want) > want*1e-9 {
 		t.Fatalf("profile cycles %v, want %v", p.TotalCycles(), want)
@@ -125,7 +121,19 @@ func TestProfileRepeats(t *testing.T) {
 	if p.OverallMix().FP == 0 {
 		t.Fatal("profile lost FP share")
 	}
-	var _ cost.Counts = res.Counts
+}
+
+// TestCountsForMatchesMultiply pins the closed form Figure 2 replays to
+// the counts the reference kernel tallies. The counts do not depend on
+// the operands' values, so zero matrices suffice.
+func TestCountsForMatchesMultiply(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 7, 96, 160, 301, Small, Large} {
+		zero := make([]float64, n*n)
+		_, want := Multiply(zero, zero, n)
+		if got := CountsFor(n); got != want {
+			t.Fatalf("CountsFor(%d) = %+v, Multiply tallies %+v", n, got, want)
+		}
+	}
 }
 
 // mustRun is Run for tests: every product a test builds must pass the
@@ -202,8 +210,9 @@ func TestVerifyCatchesOneWrongElement(t *testing.T) {
 	}
 }
 
-// BenchmarkMultiply times the kernel at Figure 2's quick (160²) and
-// full (512²) sizes.
+// BenchmarkMultiply times the reference kernel at Figure 2's quick
+// (160²) and full (512²) sizes. Figure 2 itself replays CountsFor and
+// never runs it.
 func BenchmarkMultiply(b *testing.B) {
 	for _, n := range []int{160, Small} {
 		x := GenOperand(1, n)

@@ -162,14 +162,13 @@ type taskResult struct {
 }
 
 // windowPerWorker is how many tasks per pool worker dispatch may run
-// ahead of the in-order fold. It is sized for a run whose slowest shard
-// sits near the fold cursor: while one worker holds that shard (fig2's
-// 1024² multiply is about half of the paper pass's compute at two
-// workers), the other workers run the tasks behind it only as far as
+// ahead of the in-order fold. While one worker holds a slow shard near
+// the fold cursor, the others run the tasks behind it only as far as
 // the window reaches. At two workers a window of 64 covers the paper
-// pass's 59 tasks, so no worker waits on the slow one. The bound is a
-// constant per worker, so pending payloads do not grow with the shard
-// count.
+// pass's 59 tasks, so no worker waits on another's shard there. The
+// pass's slowest shard is multivm's, about 0.1 s in a traced pass on a
+// 2-vCPU Xeon. The bound is a constant per worker, so pending payloads
+// do not grow with the shard count.
 const windowPerWorker = 32
 
 // reorderWindow bounds how far task dispatch may run ahead of the
