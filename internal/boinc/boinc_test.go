@@ -87,6 +87,42 @@ func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
 	FFT(make([]float64, 100), make([]float64, 100), nil)
 }
 
+// TestFFTCountsMatchFFT pins the closed form to the tally FFT keeps while
+// it transforms, at every power of two up to 16384.
+func TestFFTCountsMatchFFT(t *testing.T) {
+	for n := 1; n <= 1<<14; n <<= 1 {
+		var got cost.Counts
+		FFT(make([]float64, n), make([]float64, n), &got)
+		if want := FFTCounts(n); got != want {
+			t.Fatalf("n=%d: FFT tallied %+v, FFTCounts gives %+v", n, got, want)
+		}
+	}
+	for _, n := range []int{0, 3, 100, -4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("FFTCounts(%d) did not panic", n)
+				}
+			}()
+			FFTCounts(n)
+		}()
+	}
+}
+
+// TestChunkCountsMatchEinsteinChunk: the counts every worker replays equal
+// what a real chunk tallies, whatever its seed.
+func TestChunkCountsMatchEinsteinChunk(t *testing.T) {
+	want := cost.Counts{IntOps: 28672, FPOps: 399360, MemOps: 7396}
+	if got := chunkCounts(); got != want {
+		t.Fatalf("chunkCounts() = %+v, want %+v", got, want)
+	}
+	for _, seed := range []uint64{0, 1, 2, 3, 42, 1 << 63, math.MaxUint64} {
+		if got := EinsteinChunk(seed).Counts; got != want {
+			t.Fatalf("seed %d: EinsteinChunk tallied %+v, chunkCounts gives %+v", seed, got, want)
+		}
+	}
+}
+
 func TestEinsteinChunkFindsInjectedSignal(t *testing.T) {
 	// The injected line sits at a deterministic bin; the peak search must
 	// find it despite the noise floor.

@@ -48,13 +48,6 @@ func UnmarshalProgress(data []byte) (Progress, error) {
 	return p, nil
 }
 
-// chunkProfile caches the captured per-chunk cost (chunks differ only in
-// seed; their op counts are statistically identical, so one capture
-// per work unit suffices).
-func chunkProfile(seed uint64) cost.Counts {
-	return EinsteinChunk(seed).Counts
-}
-
 // Worker is a cost.Program that performs work units forever (the paper's
 // scenario: the BOINC client keeps the virtual CPU at 100%), checkpointing
 // progress to the guest filesystem. It is resumable: construct with a
@@ -74,7 +67,7 @@ func NewWorker(p Progress) *Worker {
 	if p.WorkUnit.Chunks <= 0 {
 		panic("boinc: work unit with no chunks")
 	}
-	return &Worker{State: p, perChunk: chunkProfile(p.WorkUnit.Seed)}
+	return &Worker{State: p, perChunk: chunkCounts()}
 }
 
 // UnitsDone reports completed work units (for throughput accounting).
@@ -142,6 +135,6 @@ func (f *FiniteWorker) Next() (cost.Step, bool) {
 // EstimateUnitSeconds predicts how long one work unit takes on an
 // unloaded native core at freqHz — useful for sizing experiments.
 func EstimateUnitSeconds(wu WorkUnit, freqHz float64) float64 {
-	c := chunkProfile(wu.Seed)
+	c := chunkCounts()
 	return c.Cycles() * float64(wu.Chunks) / freqHz
 }

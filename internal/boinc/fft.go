@@ -59,6 +59,25 @@ func FFT(re, im []float64, ops *cost.Counts) {
 	}
 }
 
+// FFTCounts is the closed form of the operations FFT tallies on an n-point
+// transform, which depend on n alone: 4n integer ops for the bit
+// reversal and, per stage of length L = 2, 4, …, n, n/L butterfly groups
+// of L/2 butterflies costing 14 FP ops each and ⌊(L/2)/3⌋ memory ops per
+// group. FFT keeps its own tally as the reference. n must be a power of
+// two.
+func FFTCounts(n int) cost.Counts {
+	if n <= 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("boinc: FFT length %d not a power of two", n))
+	}
+	c := cost.Counts{IntOps: uint64(4 * n)}
+	for length := 2; length <= n; length <<= 1 {
+		groups, half := uint64(n/length), uint64(length/2)
+		c.FPOps += groups * 14 * half
+		c.MemOps += groups * (half / 3)
+	}
+	return c
+}
+
 // InverseFFT inverts FFT (conjugate method, normalized).
 func InverseFFT(re, im []float64, ops *cost.Counts) {
 	for i := range im {
@@ -82,9 +101,25 @@ type ChunkResult struct {
 	Counts    cost.Counts
 }
 
+// chunkCounts is the closed form of EinsteinChunk's Counts: the transform
+// plus the synthesis (12n FP, 3n integer, n/4 memory ops) and the peak
+// search (3n/2 FP ops). They depend on n alone, so they are identical for
+// every seed: 28672 integer, 399360 FP and 7396 memory ops at n = 4096.
+func chunkCounts() cost.Counts {
+	c := FFTCounts(fftSize)
+	c.Add(cost.Counts{
+		FPOps:  uint64(12*fftSize + 3*fftSize/2),
+		IntOps: uint64(3 * fftSize),
+		MemOps: uint64(fftSize) / 4,
+	})
+	return c
+}
+
 // EinsteinChunk runs one analysis chunk: synthesize a strain series with a
 // buried periodic signal plus noise, Hann-window it, transform, and locate
-// the strongest spectral line.
+// the strongest spectral line. Its Counts equal chunkCounts() for every
+// seed; workers replay those, and the chunk itself stays for its peak bin,
+// which the project server validates against.
 func EinsteinChunk(seed uint64) ChunkResult {
 	rng := sim.NewRNG(seed)
 	var ops cost.Counts

@@ -2,8 +2,10 @@ package guestos
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"vmdg/internal/bench/iobench"
 	"vmdg/internal/cost"
 	"vmdg/internal/hw"
 	"vmdg/internal/sim"
@@ -275,6 +277,63 @@ func TestFSEvictionUnderPressure(t *testing.T) {
 	}
 }
 
+// TestFSRewriteAfterDropAllocatesNothing: a dropped page keeps its entry
+// in its file's page table, so rewriting a range that was cached once
+// allocates nothing.
+func TestFSRewriteAfterDropAllocatesNothing(t *testing.T) {
+	const chunk, runs = 64 << 10, 50
+	s := sim.New()
+	k, _ := newKernelWithDisk(s)
+	fs := k.FS
+	// One chunk per measured run plus AllocsPerRun's warm-up run.
+	fs.write(nil, "f", 0, chunk*(runs+1))
+	if !fs.fsync(&GThread{Name: "sync", kernel: k, state: gBlocked}, "f") {
+		t.Fatal("fsync of a dirty file did not block")
+	}
+	s.Run()
+	fs.DropCaches()
+	if fs.CachedBytes() != 0 || fs.DirtyBytes() != 0 {
+		t.Fatalf("after fsync and drop: %d cached, %d dirty bytes", fs.CachedBytes(), fs.DirtyBytes())
+	}
+	off := int64(0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		fs.write(nil, "f", off, chunk)
+		off += chunk
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per %d KB rewritten after DropCaches, want 0", allocs, chunk>>10)
+	}
+	if got := fs.DirtyBytes(); got != chunk*(runs+1) {
+		t.Fatalf("rewrite left %d dirty bytes, want %d", got, chunk*(runs+1))
+	}
+}
+
+// TestFSDirtyExtentsAscendingMerged: writeback takes a file's dirty pages
+// as ascending runs of adjacent pages, whatever order they were written
+// in, and leaves them clean.
+func TestFSDirtyExtentsAscendingMerged(t *testing.T) {
+	s := sim.New()
+	k, _ := newKernelWithDisk(s)
+	fs := k.FS
+	for _, idx := range []int64{5, 3, 4, 9} {
+		fs.write(nil, "f", idx*PageSize, PageSize)
+	}
+	f := fs.files["f"]
+	want := [][2]int64{{3, 5}, {9, 9}}
+	if got := fs.dirtyExtents(f); !slices.Equal(got, want) {
+		t.Fatalf("dirtyExtents = %v, want %v", got, want)
+	}
+	if f.dirty != 0 || scanDirtyBytes(f) != 0 {
+		t.Fatalf("after dirtyExtents: counter %d, scan %d dirty bytes", f.dirty, scanDirtyBytes(f))
+	}
+	if got := fs.dirtyExtents(f); len(got) != 0 {
+		t.Fatalf("second dirtyExtents = %v, want none", got)
+	}
+	if fs.CachedBytes() != 4*PageSize {
+		t.Fatalf("cached %d bytes, want the 4 written pages", fs.CachedBytes())
+	}
+}
+
 func TestFSFileSize(t *testing.T) {
 	s := sim.New()
 	k, _ := newKernelWithDisk(s)
@@ -507,5 +566,27 @@ func TestGThreadString(t *testing.T) {
 	}
 	if math.Abs(1) != 1 { // keep math import honest alongside future checks
 		t.Fatal("math broken")
+	}
+}
+
+// BenchmarkPageCache times the guest page cache on iobench's largest
+// file: one op writes 32 MB, fsyncs, drops the cache and reads the file
+// back through a fresh Kernel on fakeDisk.
+func BenchmarkPageCache(b *testing.B) {
+	size := iobench.Sizes()[len(iobench.Sizes())-1]
+	prof := &cost.Profile{Name: "iobench-32M", Steps: slices.Concat(
+		iobench.WriteProfile(size).Steps, iobench.ReadProfile(size).Steps)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := sim.New()
+		k, _ := newKernelWithDisk(s)
+		k.SpawnG("iobench", prof.Iter())
+		e := newExecutor(s, k)
+		e.start()
+		s.Run()
+		if !e.done || k.FS.CachedBytes() != size {
+			b.Fatalf("done %v with %d cached bytes, want %d", e.done, k.FS.CachedBytes(), size)
+		}
 	}
 }

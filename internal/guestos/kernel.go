@@ -65,9 +65,12 @@ type GThread struct {
 	prog  cost.Program
 	state gstate
 
-	// carry is the unexecuted remainder of a compute step that was split
-	// at a timeslice boundary.
-	carry cost.Step
+	// carryCycles and carryMix are the unexecuted remainder of a compute
+	// step that was split at a timeslice boundary. Only Kind, Cycles and
+	// Mix of a compute step are ever read downstream, so they are all a
+	// carried step needs.
+	carryCycles float64
+	carryMix    cost.Mix
 
 	kernel *Kernel
 }
@@ -229,31 +232,34 @@ func (k *Kernel) Next() (cost.Step, bool) {
 			continue
 		}
 		// Resume a split compute step, if any.
-		step := k.cur.carry
-		k.cur.carry = cost.Step{}
-		if step.Kind != cost.StepCompute || step.Cycles <= 0 {
+		var step cost.Step
+		if g := k.cur; g.carryCycles > 0 {
+			step = cost.Step{Kind: cost.StepCompute, Cycles: g.carryCycles, Mix: g.carryMix}
+			g.carryCycles = 0
+		} else {
 			var ok bool
-			step, ok = k.cur.prog.Next()
+			step, ok = g.prog.Next()
 			if !ok {
 				k.cur.state = gDone
 				k.cur = nil
 				continue
 			}
 		}
-		if emitted, ok := k.handleStep(step); ok {
-			return emitted, true
+		if k.handleStep(&step) {
+			return step, true
 		}
 	}
 }
 
-// handleStep services one guest-thread step. It returns the step to emit on
-// the vCPU stream, or ok=false when the step was absorbed (e.g. an
-// asynchronous FS operation that blocked the thread).
-func (k *Kernel) handleStep(step cost.Step) (cost.Step, bool) {
+// handleStep services one guest-thread step in place. It reports true when
+// step, possibly cut at the timeslice boundary, is to be emitted on the
+// vCPU stream, and false when the step was absorbed (e.g. an asynchronous
+// FS operation that blocked the thread).
+func (k *Kernel) handleStep(step *cost.Step) bool {
 	switch step.Kind {
 	case cost.StepCompute:
 		if step.Cycles <= 0 {
-			return cost.Step{}, false
+			return false
 		}
 		if len(k.runq) == 0 {
 			// Sole runnable thread: no reason to slice; renew in place.
@@ -262,53 +268,50 @@ func (k *Kernel) handleStep(step cost.Step) (cost.Step, bool) {
 			} else {
 				k.sliceLeft -= step.Cycles
 			}
-			return step, true
+			return true
 		}
 		if step.Cycles > k.sliceLeft {
 			// Split at the timeslice boundary and rotate.
-			rest := step
-			rest.Cycles = step.Cycles - k.sliceLeft
-			k.cur.carry = rest
-			out := step
-			out.Cycles = k.sliceLeft
 			cur := k.cur
+			cur.carryCycles, cur.carryMix = step.Cycles-k.sliceLeft, step.Mix
+			step.Cycles = k.sliceLeft
 			cur.state = gRunnable
 			k.runq = append(k.runq, cur)
 			k.cur = nil
-			return out, true
+			return true
 		}
 		k.sliceLeft -= step.Cycles
-		return step, true
+		return true
 
 	case cost.StepDiskRead:
 		if blocked := k.FS.read(k.cur, step.File, step.Offset, step.Bytes); blocked {
 			k.blockCur()
 		}
-		return cost.Step{}, false
+		return false
 
 	case cost.StepDiskWrite:
 		if blocked := k.FS.write(k.cur, step.File, step.Offset, step.Bytes); blocked {
 			k.blockCur()
 		}
-		return cost.Step{}, false
+		return false
 
 	case cost.StepDiskSync:
 		if blocked := k.FS.fsync(k.cur, step.File); blocked {
 			k.blockCur()
 		}
-		return cost.Step{}, false
+		return false
 
 	case cost.StepNetSend:
 		if blocked := k.Net.send(k.cur, step.Conn, step.Bytes); blocked {
 			k.blockCur()
 		}
-		return cost.Step{}, false
+		return false
 
 	case cost.StepNetRecv:
 		if blocked := k.Net.recv(k.cur, step.Conn, step.Bytes); blocked {
 			k.blockCur()
 		}
-		return cost.Step{}, false
+		return false
 
 	case cost.StepSleep:
 		g := k.cur
@@ -317,17 +320,17 @@ func (k *Kernel) handleStep(step cost.Step) (cost.Step, bool) {
 			k.makeRunnable(g)
 			k.interruptEntry() // timer interrupt
 		})
-		return cost.Step{}, false
+		return false
 
 	case cost.StepClock:
 		// The cycle cost was charged at capture; the (possibly drifted)
 		// value is observable via GuestNow. Nothing to emit.
-		return cost.Step{}, false
+		return false
 
 	case cost.StepDropCaches:
 		k.FS.DropCaches()
 		k.charge(float64(4 * ctxSwitchOps)) // page-table walks, LRU teardown
-		return cost.Step{}, false
+		return false
 
 	default:
 		panic(fmt.Sprintf("guestos: unsupported guest step %v", step.Kind))

@@ -21,12 +21,24 @@ const zeroStepLimit = 1 << 20
 type coreState struct {
 	t     *Thread
 	event sim.Handle // pending step-done-or-quantum event
+	timer coreTimer  // event's Caller
 	// parked holds a thread displaced by a hinted preemption: the
 	// preemptor borrows this core's slot and the parked thread resumes
 	// here as soon as the core frees, without re-entering the ready
 	// queues (VMM service work runs in its VM's scheduling context).
 	parked *Thread
 }
+
+// coreTimer fires a core's step-done-or-quantum event. Boot sizes
+// OS.cores once, so a pointer to a core's timer stays valid and
+// refreshAll schedules it without allocating.
+type coreTimer struct {
+	o    *OS
+	core int
+}
+
+// Fire implements sim.Caller.
+func (c *coreTimer) Fire(sim.Time) { c.o.coreEvent(c.core) }
 
 // OS is the host operating system instance for one machine.
 type OS struct {
@@ -40,6 +52,8 @@ type OS struct {
 
 	idleTime []sim.Time // per-core idle accumulation
 	lastIdle []sim.Time // per-core: when the core last became idle
+
+	shares, rates []float64 // refreshAll's per-core buffers, reused
 }
 
 // Boot creates the OS for machine m.
@@ -51,6 +65,11 @@ func Boot(m *hw.Machine) *OS {
 		cores:    make([]coreState, m.CPU.Cores),
 		idleTime: make([]sim.Time, m.CPU.Cores),
 		lastIdle: make([]sim.Time, m.CPU.Cores),
+		shares:   make([]float64, m.CPU.Cores),
+		rates:    make([]float64, m.CPU.Cores),
+	}
+	for i := range o.cores {
+		o.cores[i].timer = coreTimer{o: o, core: i}
 	}
 	return o
 }
@@ -147,25 +166,28 @@ func (o *OS) settleAll() {
 	}
 }
 
+// refreshAll re-arms each busy core's event in core order, so sequence
+// numbers go out in the same order as a Cancel plus Schedule per core.
+// Rearm fails, and a fresh event is scheduled, when undispatch cancelled
+// the event or when it is the one firing (recycled before it fired).
 func (o *OS) refreshAll() {
 	now := o.Sim.Now()
-	shares := make([]float64, len(o.cores))
 	for i := range o.cores {
 		if t := o.cores[i].t; t != nil {
-			shares[i] = t.mix.Mem
+			o.shares[i] = t.mix.Mem
 		} else {
-			shares[i] = -1
+			o.shares[i] = -1
 		}
 	}
-	rates := o.M.CPU.Rates(shares)
+	o.M.CPU.Rates(o.shares, o.rates)
 	for i := range o.cores {
 		c := &o.cores[i]
-		c.event.Cancel()
 		t := c.t
 		if t == nil {
+			c.event.Cancel()
 			continue
 		}
-		t.rate = rates[i]
+		t.rate = o.rates[i]
 		t.settled = now
 		finish := now + sim.FromSeconds(t.remaining/t.rate)
 		if finish <= now {
@@ -179,8 +201,9 @@ func (o *OS) refreshAll() {
 			wake = t.sliceEnd
 			label = "quantum"
 		}
-		core := i
-		c.event = o.Sim.At(wake, label, func() { o.coreEvent(core) })
+		if !o.Sim.Rearm(c.event, wake, label) {
+			c.event = o.Sim.Schedule(wake, label, &c.timer)
+		}
 	}
 }
 

@@ -9,12 +9,12 @@ import (
 	"vmdg/internal/sim"
 )
 
-func newOS(t *testing.T) *OS {
-	t.Helper()
+func newOS(tb testing.TB) *OS {
+	tb.Helper()
 	s := sim.New()
 	m, err := hw.NewMachine(s, hw.Config{Seed: 7})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return Boot(m)
 }
@@ -386,5 +386,46 @@ func TestThreadStringAndStates(t *testing.T) {
 	o.Sim.Run()
 	if !th.Finished() || th.Running() || th.Blocked() {
 		t.Fatalf("bad final state: %v", th)
+	}
+}
+
+// loopingOS boots the default 2-core machine with three endless compute
+// threads (Int 0.5, Mem 0.5), so every step completion and quantum expiry
+// is a scheduler transition that moves bus contention on both cores. A
+// second of warm-up sizes the ready queues and the event free list.
+func loopingOS(tb testing.TB) *OS {
+	o := newOS(tb)
+	p := o.NewProcess("loop")
+	prof := computeProfile("w", 10e6, cost.Mix{Int: 0.5, Mem: 0.5})
+	for i := 0; i < 3; i++ {
+		o.Spawn(p, "w", PrioNormal, cost.Loop(prof))
+	}
+	o.RunFor(sim.Second)
+	return o
+}
+
+// TestRefreshAllocatesNothing: a steady scheduler transition re-arms each
+// core's event in place, with a per-core Caller and reused rate slices,
+// so it allocates nothing.
+func TestRefreshAllocatesNothing(t *testing.T) {
+	o := loopingOS(t)
+	fired := o.Sim.Fired()
+	allocs := testing.AllocsPerRun(50, func() { o.RunFor(100 * sim.Millisecond) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations per 100 ms of three looping threads, want 0", allocs)
+	}
+	if o.Sim.Fired() == fired {
+		t.Fatal("no scheduler event fired")
+	}
+}
+
+// BenchmarkTransition times the scheduler's transitions: one op is 100 ms
+// of virtual time of the three looping threads of loopingOS.
+func BenchmarkTransition(b *testing.B) {
+	o := loopingOS(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.RunFor(100 * sim.Millisecond)
 	}
 }

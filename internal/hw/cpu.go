@@ -36,10 +36,12 @@ func (c CPU) Validate() error {
 	return nil
 }
 
-// Rates computes the effective execution rate (cycles/second) of the thread
-// on each core, given the memory-cycle share of the thread currently
-// dispatched there. An entry < 0 marks an idle core. Idle cores produce a
-// rate of 0 and exert no bus pressure.
+// Rates writes into rates the effective execution rate (cycles/second) of
+// the thread on each core, given the memory-cycle share of the thread
+// currently dispatched there. An entry < 0 marks an idle core. Idle cores
+// produce a rate of 0 and exert no bus pressure. Both slices hold one
+// entry per core; the caller owns rates, so a scheduler can reuse one
+// slice across every transition.
 //
 // For core i with memory share mᵢ, the slowdown is
 //
@@ -48,11 +50,10 @@ func (c CPU) Validate() error {
 // so a pure-ALU thread (mᵢ=0) is immune to a memory-thrashing neighbour,
 // while two streaming threads fight. This is a first-order fit to shared
 // L2/FSB behaviour, sufficient for the ratio experiments reproduced here.
-func (c CPU) Rates(memShare []float64) []float64 {
-	if len(memShare) != c.Cores {
-		panic(fmt.Sprintf("hw: Rates got %d shares for %d cores", len(memShare), c.Cores))
+func (c CPU) Rates(memShare, rates []float64) {
+	if len(memShare) != c.Cores || len(rates) != c.Cores {
+		panic(fmt.Sprintf("hw: Rates got %d shares and %d rates for %d cores", len(memShare), len(rates), c.Cores))
 	}
-	rates := make([]float64, c.Cores)
 	var total float64
 	for _, m := range memShare {
 		if m > 0 {
@@ -71,5 +72,4 @@ func (c CPU) Rates(memShare []float64) []float64 {
 		slow := 1 + c.BusK*m*others
 		rates[i] = c.FreqHz / slow
 	}
-	return rates
 }

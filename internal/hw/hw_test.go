@@ -26,7 +26,8 @@ func TestCPUValidate(t *testing.T) {
 
 func TestCPURatesIdleAndSolo(t *testing.T) {
 	c := Core2Duo6600()
-	r := c.Rates([]float64{0.5, -1})
+	r := make([]float64, 2)
+	c.Rates([]float64{0.5, -1}, r)
 	if r[0] != c.FreqHz {
 		t.Fatalf("solo thread slowed: %v", r[0])
 	}
@@ -38,17 +39,18 @@ func TestCPURatesIdleAndSolo(t *testing.T) {
 func TestCPURatesContention(t *testing.T) {
 	c := Core2Duo6600()
 	// Two memory-free threads: no contention.
-	r := c.Rates([]float64{0, 0})
+	r := make([]float64, 2)
+	c.Rates([]float64{0, 0}, r)
 	if r[0] != c.FreqHz || r[1] != c.FreqHz {
 		t.Fatalf("ALU threads contended: %v", r)
 	}
 	// Two memory-heavy threads: both slowed, symmetrically.
-	r = c.Rates([]float64{0.5, 0.5})
+	c.Rates([]float64{0.5, 0.5}, r)
 	if r[0] >= c.FreqHz || r[0] != r[1] {
 		t.Fatalf("symmetric contention broken: %v", r)
 	}
 	// A pure-ALU thread is immune to a memory-heavy neighbour.
-	r = c.Rates([]float64{0, 0.9})
+	c.Rates([]float64{0, 0.9}, r)
 	if r[0] != c.FreqHz {
 		t.Fatalf("ALU thread slowed by neighbour: %v", r[0])
 	}
@@ -62,12 +64,13 @@ func TestCPURatesContention(t *testing.T) {
 func TestCPURatesMonotoneInNeighbourPressure(t *testing.T) {
 	c := Core2Duo6600()
 	prev := math.Inf(1)
+	r := make([]float64, 2)
 	for _, other := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		r := c.Rates([]float64{0.5, other})[0]
-		if r > prev {
-			t.Fatalf("rate increased with neighbour pressure: %v", r)
+		c.Rates([]float64{0.5, other}, r)
+		if r[0] > prev {
+			t.Fatalf("rate increased with neighbour pressure: %v", r[0])
 		}
-		prev = r
+		prev = r[0]
 	}
 }
 
@@ -76,7 +79,8 @@ func TestCPURatesProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		m1 := float64(a%101) / 100
 		m2 := float64(b%101) / 100
-		r := c.Rates([]float64{m1, m2})
+		r := make([]float64, 2)
+		c.Rates([]float64{m1, m2}, r)
 		return r[0] > 0 && r[0] <= c.FreqHz && r[1] > 0 && r[1] <= c.FreqHz
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -84,13 +88,43 @@ func TestCPURatesProperty(t *testing.T) {
 	}
 }
 
-func TestCPURatesPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on mismatched shares")
+// TestCPURatesIntoReusedSlice: Rates overwrites every entry of the
+// caller's slice, so one slice reused across calls reads exactly what a
+// fresh slice would, idle cores included.
+func TestCPURatesIntoReusedSlice(t *testing.T) {
+	c := CPU{Cores: 3, FreqHz: 2.4e9, BusK: 0.45}
+	reused := []float64{math.NaN(), math.Inf(1), -7}
+	for _, shares := range [][]float64{
+		{0.5, 0.5, 0.5}, {-1, 0.3, 0.9}, {0, -1, -1}, {0.2, 0.7, 0}, {-1, -1, -1},
+	} {
+		c.Rates(shares, reused)
+		fresh := make([]float64, 3)
+		c.Rates(shares, fresh)
+		for i := range fresh {
+			if math.Float64bits(reused[i]) != math.Float64bits(fresh[i]) {
+				t.Fatalf("shares %v: core %d rate %v in a reused slice, %v in a fresh one", shares, i, reused[i], fresh[i])
+			}
 		}
-	}()
-	Core2Duo6600().Rates([]float64{0.5})
+	}
+}
+
+func TestCPURatesPanicsOnLengthMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		shares, rates []float64
+	}{
+		{"shares", []float64{0.5}, make([]float64, 2)},
+		{"rates", []float64{0.5, 0.5}, make([]float64, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic on mismatched %s", tc.name)
+				}
+			}()
+			Core2Duo6600().Rates(tc.shares, tc.rates)
+		})
+	}
 }
 
 func newTestMachine(t *testing.T) *Machine {

@@ -62,6 +62,22 @@ func BenchmarkCancelReschedule(b *testing.B) {
 	}
 }
 
+// BenchmarkRearm is the host scheduler's per-core timer: a pending event
+// moved to a new time and label with a fresh sequence, in place, where
+// Cancel plus Schedule would leave a tombstone behind.
+func BenchmarkRearm(b *testing.B) {
+	b.ReportAllocs()
+	s := New()
+	tk := &benchTicker{s: s, b: b}
+	h := s.Schedule(Second, "tick", tk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !s.Rearm(h, s.Now()+Second+Time(i%64), "tick") {
+			h = s.Schedule(s.Now()+Second, "tick", tk)
+		}
+	}
+}
+
 // BenchmarkHeapChurn measures raw push/pop through a heap of 1024
 // pending events, the per-event floor of every fleet shard. Its events
 // fire a no-op, so each iteration's one push and one pop keep the

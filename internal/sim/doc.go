@@ -9,8 +9,9 @@
 //
 // The queue holds one event type with one lifecycle. A callback is
 // either a closure (At/After, convenient for the detailed stack) or a
-// Caller (Schedule/Reschedule, closure-free, for the fleet's timer
-// arms). Every event is drawn from a per-simulator free list, recycled
+// Caller (Schedule, closure-free, for the fleet's timer arms and the host
+// scheduler's core timers). Reschedule and Rearm move a pending event in
+// place; Rearm also gives it the next insertion sequence. Every event is drawn from a per-simulator free list, recycled
 // the moment it fires or its cancellation is reaped, and addressed
 // through the generation-checked Handle its scheduling call returns, so
 // steady-state scheduling allocates nothing — the fleet simulator's

@@ -198,6 +198,152 @@ func TestZeroHandleInert(t *testing.T) {
 	}
 }
 
+// rearmRecord is one fire observed by TestRearmMatchesCancelSchedule.
+type rearmRecord struct {
+	id int // slot index, or -1 for the ticker
+	at Time
+}
+
+// rearmWorld is one side of TestRearmMatchesCancelSchedule: a
+// self-rescheduling ticker that cancels and re-arms a few slots at
+// random, on coarse times so that ties are common and the sequence
+// numbers decide the order. rearm selects Rearm with a Schedule
+// fallback; otherwise every re-arm is Cancel followed by Schedule.
+type rearmWorld struct {
+	s       *Simulator
+	r       *RNG
+	rearm   bool
+	slots   [4]Handle
+	callers [4]*rearmSlot
+	log     []rearmRecord
+	fires   int
+	peak    int
+}
+
+type rearmSlot struct {
+	w  *rearmWorld
+	id int
+}
+
+// Fire records the slot and sometimes re-arms the slot itself, whose
+// Handle went stale when its event was recycled just before firing.
+func (c *rearmSlot) Fire(now Time) {
+	c.w.log = append(c.w.log, rearmRecord{c.id, now})
+	if c.w.r.Float64() < 0.3 {
+		c.w.arm(c.id, now+Time(c.w.r.Intn(4)))
+	}
+}
+
+func (w *rearmWorld) arm(i int, at Time) {
+	if w.rearm {
+		if !w.s.Rearm(w.slots[i], at, "slot") {
+			w.slots[i] = w.s.Schedule(at, "slot", w.callers[i])
+		}
+		return
+	}
+	w.slots[i].Cancel()
+	w.slots[i] = w.s.Schedule(at, "slot", w.callers[i])
+}
+
+func (w *rearmWorld) Fire(now Time) {
+	w.log = append(w.log, rearmRecord{-1, now})
+	w.peak = max(w.peak, w.s.Pending())
+	for ops := w.r.Intn(4); ops > 0; ops-- {
+		i := w.r.Intn(len(w.slots))
+		if w.r.Float64() < 0.25 {
+			w.slots[i].Cancel()
+			continue
+		}
+		w.arm(i, now+Time(w.r.Intn(12)))
+	}
+	if w.fires++; w.fires < 200 {
+		w.s.Schedule(now+Time(w.r.Intn(3)+1), "ticker", w)
+	}
+}
+
+func runRearmWorld(seed uint64, rearm bool) *rearmWorld {
+	w := &rearmWorld{s: New(), r: NewRNG(seed), rearm: rearm}
+	for i := range w.callers {
+		w.callers[i] = &rearmSlot{w: w, id: i}
+	}
+	w.s.Schedule(0, "ticker", w)
+	w.s.Run()
+	return w
+}
+
+// TestRearmMatchesCancelSchedule pins Rearm's contract: for pop order it
+// is exactly Cancel followed by Schedule, so two runs that differ only in
+// which of the two they use fire the same callbacks at the same times in
+// the same order, and Rearm never leaves more events in the queue.
+func TestRearmMatchesCancelSchedule(t *testing.T) {
+	peakCancel, peakRearm := 0, 0
+	for seed := uint64(0); seed < 300; seed++ {
+		want := runRearmWorld(seed, false)
+		got := runRearmWorld(seed, true)
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: %d fires with Rearm, %d with Cancel+Schedule", seed, len(got.log), len(want.log))
+		}
+		for i := range want.log {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: fire %d is %+v with Rearm, %+v with Cancel+Schedule", seed, i, got.log[i], want.log[i])
+			}
+		}
+		if got.s.Fired() != want.s.Fired() || got.s.seq != want.s.seq {
+			t.Fatalf("seed %d: Fired/seq %d/%d with Rearm, %d/%d with Cancel+Schedule",
+				seed, got.s.Fired(), got.s.seq, want.s.Fired(), want.s.seq)
+		}
+		if got.peak > want.peak {
+			t.Fatalf("seed %d: peak Pending %d with Rearm, above %d with Cancel+Schedule", seed, got.peak, want.peak)
+		}
+		peakCancel, peakRearm = max(peakCancel, want.peak), max(peakRearm, got.peak)
+	}
+	t.Logf("peak Pending over 300 seeds: %d with Cancel+Schedule, %d with Rearm", peakCancel, peakRearm)
+}
+
+// TestRearmInactiveHandle: Rearm on a zero, stale, cancelled or fired
+// Handle reports false and leaves the queue and the sequence counter
+// alone, because the caller's fallback Schedule takes the next sequence.
+func TestRearmInactiveHandle(t *testing.T) {
+	s := New()
+	c := &fireCounter{}
+	fired := s.Schedule(1, "fired", c)
+	s.Run()
+	live := s.Schedule(5, "live", c) // reuses fired's event
+	cancelled := s.Schedule(6, "cancelled", c)
+	cancelled.Cancel()
+	for _, tc := range []struct {
+		name string
+		h    Handle
+	}{{"zero", Handle{}}, {"fired and stale", fired}, {"cancelled", cancelled}} {
+		seq, pending := s.seq, s.Pending()
+		if s.Rearm(tc.h, 9, "moved") {
+			t.Fatalf("Rearm of a %s handle succeeded", tc.name)
+		}
+		if s.seq != seq || s.Pending() != pending {
+			t.Fatalf("Rearm of a %s handle moved seq %d→%d, Pending %d→%d", tc.name, seq, s.seq, pending, s.Pending())
+		}
+	}
+	if !live.Active() {
+		t.Fatal("Rearm through a stale handle touched the event's new occurrence")
+	}
+	s.Run()
+	if len(c.fired) != 2 || c.fired[1] != 5 {
+		t.Fatalf("fired %v, want [1 5]", c.fired)
+	}
+}
+
+func TestRearmInPastPanics(t *testing.T) {
+	s := New()
+	h := s.Schedule(20, "pending", nopCaller{})
+	s.RunUntil(10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rearm before now did not panic")
+		}
+	}()
+	s.Rearm(h, 5, "past")
+}
+
 // TestPooledDeterminism runs an event storm twice through the pooled API
 // and requires identical fire counts — pooling must not perturb ordering.
 func TestPooledDeterminism(t *testing.T) {

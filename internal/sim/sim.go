@@ -242,6 +242,27 @@ func (s *Simulator) Reschedule(h Handle, at Time) bool {
 	return true
 }
 
+// Rearm moves a still-pending occurrence to a new time and label in
+// place and gives it the next insertion sequence, so for pop order it is
+// exactly Cancel followed by Schedule, minus the tombstone. It reports
+// false, changing nothing, when the Handle is stale, cancelled, or
+// already fired; the caller should then Schedule a fresh occurrence.
+// Reschedule, by contrast, keeps the original sequence and label.
+func (s *Simulator) Rearm(h Handle, at Time, label string) bool {
+	if !h.Active() {
+		return false
+	}
+	if at < s.now {
+		panic(fmt.Sprintf("sim: rearming event %q at %v before now %v", label, at, s.now))
+	}
+	e := h.e
+	e.at, e.label, e.seq = at, label, s.seq
+	s.seq++
+	s.queue[e.index] = cell{at: at, seq: e.seq, e: e}
+	s.fix(e.index)
+	return true
+}
+
 // release recycles an event after it fired or its cancellation was
 // reaped. Bumping the generation invalidates every outstanding Handle.
 func (s *Simulator) release(e *event) {
