@@ -84,8 +84,13 @@ func (d *fakeDisk) WriteBlocks(off, bytes int64, done func()) {
 // native-execution topology.
 type nativeNIC struct{ tx, rx *hw.Link }
 
-func (n *nativeNIC) SendSegment(ipBytes int64, deliver func())   { n.tx.Transmit(ipBytes, deliver) }
-func (n *nativeNIC) ReturnSegment(ipBytes int64, deliver func()) { n.rx.Transmit(ipBytes, deliver) }
+func (n *nativeNIC) SendSegment(p Packet)   { n.tx.Transmit(p.IPBytes, &arrival{p}) }
+func (n *nativeNIC) ReturnSegment(p Packet) { n.rx.Transmit(p.IPBytes, &arrival{p}) }
+
+// arrival hands a packet to its endpoint when its frame arrives.
+type arrival struct{ p Packet }
+
+func (a *arrival) Fire(sim.Time) { a.p.To.Deliver(a.p) }
 
 func newKernelWithDisk(s *sim.Simulator) (*Kernel, *fakeDisk) {
 	d := &fakeDisk{s: s, latency: 5 * sim.Millisecond, bps: 60e6}
@@ -470,6 +475,48 @@ func TestUDPRecvBlocksUntilReply(t *testing.T) {
 	}
 	if u.Rcvd != 1 {
 		t.Fatalf("Rcvd = %d", u.Rcvd)
+	}
+}
+
+// TestUDPSendToFitsMTU: a datagram's IP packet, its 28 header bytes
+// included, must fit the 1500-byte MTU, so the largest payload is 1472.
+func TestUDPSendToFitsMTU(t *testing.T) {
+	s := sim.New()
+	nic := &nativeNIC{tx: hw.FastEthernet(s), rx: hw.FastEthernet(s)}
+	k := NewKernel(KernelConfig{Sim: s, NIC: nic})
+	u := k.Net.OpenUDP(3)
+	u.SendTo(Datagram{Bytes: 1472})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SendTo accepted a 1473-byte payload")
+			}
+		}()
+		u.SendTo(Datagram{Bytes: 1473})
+	}()
+	s.Run()
+	if u.Sent != 1 || nic.tx.WireBytes != hw.MTU+hw.EthernetOverhead {
+		t.Fatalf("sent %d datagrams in %d wire bytes, want 1 in %d", u.Sent, nic.tx.WireBytes, hw.MTU+hw.EthernetOverhead)
+	}
+}
+
+// TestUDPStepNetSendSplitsAtMTU: a StepNetSend on a UDP socket leaves as
+// datagrams that each fill the MTU, then the remainder.
+func TestUDPStepNetSendSplitsAtMTU(t *testing.T) {
+	s := sim.New()
+	nic := &nativeNIC{tx: hw.FastEthernet(s), rx: hw.FastEthernet(s)}
+	k := NewKernel(KernelConfig{Sim: s, NIC: nic})
+	u := k.Net.OpenUDP(4)
+	var got []int64
+	u.Sink = func(d Datagram) { got = append(got, d.Bytes) }
+	m := cost.NewMeter("udp")
+	m.NetSend(4, 3000)
+	k.SpawnG("udp", m.Profile().Iter())
+	e := newExecutor(s, k)
+	e.start()
+	s.Run()
+	if want := []int64{1472, 1472, 56}; !slices.Equal(got, want) {
+		t.Fatalf("3000 bytes left as datagrams of %v bytes, want %v", got, want)
 	}
 }
 

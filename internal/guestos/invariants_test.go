@@ -311,3 +311,37 @@ func TestSliceCarrySplitsExactly(t *testing.T) {
 		t.Fatalf("slice-split overhead %.0f cycles is > 2%%", overhead)
 	}
 }
+
+// TestFIFOMatchesSliceQueueProperty: the ACK and reply FIFO pops what a
+// plain slice queue pops, through any interleaving of pushes and pops,
+// including the compaction when a partly drained queue fills its array.
+func TestFIFOMatchesSliceQueueProperty(t *testing.T) {
+	f := func(ops []bool) bool {
+		var q fifo[int64]
+		var ref []int64
+		next := int64(0)
+		for _, push := range ops {
+			if push || len(ref) == 0 {
+				q.push(next)
+				ref = append(ref, next)
+				next++
+				continue
+			}
+			if q.pop() != ref[0] {
+				return false
+			}
+			ref = ref[1:]
+		}
+		for len(ref) > 0 {
+			if q.pop() != ref[0] {
+				return false
+			}
+			ref = ref[1:]
+		}
+		return q.head == 0 && len(q.buf) == 0
+	}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -28,15 +28,39 @@ type BlockDevice interface {
 }
 
 // NetDevice is the guest's NIC: either effectively the physical adapter
-// (native) or an emulated/NATed virtual device.
+// (native) or an emulated/NATed virtual device. It carries each Packet
+// as a value and hands it to the packet's Endpoint on arrival, so a
+// device can keep the packet in a recycled frame instead of a closure.
 type NetDevice interface {
-	// SendSegment pushes an IP datagram toward the LAN; deliverToPeer
-	// fires at the remote station once the frame traverses the device
-	// path and the physical link.
-	SendSegment(ipBytes int64, deliverToPeer func())
-	// ReturnSegment carries a datagram from the remote station back to
-	// this guest; deliverToGuest fires when it reaches the guest stack.
-	ReturnSegment(ipBytes int64, deliverToGuest func())
+	// SendSegment pushes p toward the LAN; p.To.Deliver(p) runs at the
+	// remote station once the frame traverses the device path and the
+	// physical link.
+	SendSegment(p Packet)
+	// ReturnSegment carries p from the remote station back to this
+	// guest; p.To.Deliver(p) runs when it reaches the guest stack.
+	ReturnSegment(p Packet)
+}
+
+// Packet is one IP packet on its way across a NetDevice.
+type Packet struct {
+	// IPBytes is the IP packet size, headers included.
+	IPBytes int64
+	// To receives the packet at the far end of the device.
+	To Endpoint
+	// N is the TCP byte count: the payload of a data segment, or the
+	// bytes an ACK covers.
+	N int64
+	// Datagram is a UDP packet's payload.
+	Datagram Datagram
+}
+
+// Endpoint is where a Packet arrives: the TCP peer, a connection's ACK
+// end, or a UDP socket's remote or local end. Each is a pointer alias
+// of the state it updates, so addressing a packet allocates nothing.
+// Deliver takes the packet by value: a pointer passed through the
+// interface would make every packet escape to the heap.
+type Endpoint interface {
+	Deliver(p Packet)
 }
 
 // ClockSource supplies the guest's notion of time. Under a VMM this drifts

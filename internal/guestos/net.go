@@ -27,6 +27,8 @@ const (
 	// delayedAckTimeout bounds how long the peer withholds an ACK for a
 	// lone segment.
 	delayedAckTimeout = 5 * sim.Millisecond
+	// maxUDPPayload is the largest datagram whose IP packet fits the MTU.
+	maxUDPPayload = hw.MTU - hw.UDPHeaderBytes
 )
 
 // NetStack is the guest's network layer.
@@ -79,8 +81,8 @@ func (ns *NetStack) send(g *GThread, id int, n int64) (blocked bool) {
 	if u := ns.udp[id]; u != nil {
 		for n > 0 {
 			d := n
-			if d > hw.MTU-8 {
-				d = hw.MTU - 8
+			if d > maxUDPPayload {
+				d = maxUDPPayload
 			}
 			u.SendTo(Datagram{Bytes: d})
 			n -= d
@@ -127,6 +129,12 @@ type TCPConn struct {
 	AcksRcvd uint64
 }
 
+// tcpAckEnd is the connection's end for the peer's ACKs.
+type tcpAckEnd TCPConn
+
+// Deliver implements Endpoint: an ACK reached the sender.
+func (a *tcpAckEnd) Deliver(p Packet) { (*TCPConn)(a).onAck(p.N) }
+
 // window is the current transmit limit.
 func (c *TCPConn) window() int64 {
 	if c.cwnd < c.rwnd {
@@ -171,10 +179,7 @@ func (c *TCPConn) trySend() {
 		c.inflight += seg
 		c.SegsSent++
 		c.stack.kernel.charge(tcpTxOps)
-		segBytes := seg
-		c.stack.device().SendSegment(segBytes+hw.TCPHeaderBytes, func() {
-			c.peer.onData(segBytes)
-		})
+		c.stack.device().SendSegment(Packet{IPBytes: seg + hw.TCPHeaderBytes, To: c.peer, N: seg})
 		c.refillFromWriter()
 	}
 }
@@ -234,11 +239,37 @@ func (c *TCPConn) Drained() bool {
 // tcpPeer is the remote iperf server: it sinks data and generates delayed
 // ACKs (every second segment, or after a short timeout for a lone one).
 type tcpPeer struct {
-	conn      *TCPConn
-	unacked   int64
-	pending   int // segments since last ACK
-	delayEv   sim.Handle
+	conn    *TCPConn
+	unacked int64
+	pending int // segments since last ACK
+	delayEv sim.Handle
+	// acks holds the byte counts of the ACKs waiting out peerProcDelay.
+	// Every wait is equally long, so they leave in the order sent.
+	acks      fifo[int64]
 	BytesRcvd int64
+}
+
+type (
+	// delayedAck is the peer's delayed-ACK timer.
+	delayedAck tcpPeer
+	// peerAck puts the oldest waiting ACK on the wire.
+	peerAck tcpPeer
+)
+
+// Deliver implements Endpoint: a data segment reached the peer.
+func (p *tcpPeer) Deliver(pk Packet) { p.onData(pk.N) }
+
+// Fire implements sim.Caller.
+func (d *delayedAck) Fire(sim.Time) {
+	if p := (*tcpPeer)(d); p.unacked > 0 {
+		p.sendAck()
+	}
+}
+
+// Fire implements sim.Caller.
+func (a *peerAck) Fire(sim.Time) {
+	p := (*tcpPeer)(a)
+	p.conn.stack.device().ReturnSegment(Packet{IPBytes: hw.TCPHeaderBytes, To: (*tcpAckEnd)(p.conn), N: p.acks.pop()})
 }
 
 func (p *tcpPeer) onData(bytes int64) {
@@ -250,27 +281,19 @@ func (p *tcpPeer) onData(bytes int64) {
 		return
 	}
 	if !p.delayEv.Active() {
-		k := p.conn.stack.kernel
-		p.delayEv = k.Sim.After(delayedAckTimeout, "delack", func() {
-			if p.unacked > 0 {
-				p.sendAck()
-			}
-		})
+		s := p.conn.stack.kernel.Sim
+		p.delayEv = s.Schedule(s.Now()+delayedAckTimeout, "delack", (*delayedAck)(p))
 	}
 }
 
 func (p *tcpPeer) sendAck() {
 	p.delayEv.Cancel()
-	bytes := p.unacked
+	p.acks.push(p.unacked)
 	p.unacked = 0
 	p.pending = 0
-	k := p.conn.stack.kernel
 	// The remote host spends a little time before the ACK hits its wire.
-	k.Sim.After(peerProcDelay, "peer-ack", func() {
-		p.conn.stack.device().ReturnSegment(hw.TCPHeaderBytes, func() {
-			p.conn.onAck(bytes)
-		})
-	})
+	s := p.conn.stack.kernel.Sim
+	s.Schedule(s.Now()+peerProcDelay, "peer-ack", (*peerAck)(p))
 }
 
 // Datagram is a UDP message with an opaque payload for protocol state
@@ -291,6 +314,10 @@ type UDPSocket struct {
 
 	rcvq   []Datagram
 	waiter *GThread
+
+	// replies holds the Responder's replies waiting out peerProcDelay,
+	// in the order they were made.
+	replies fifo[Datagram]
 
 	// Received logs every delivered datagram in arrival order, so
 	// experiment harnesses can inspect protocol payloads after the run.
@@ -324,31 +351,52 @@ func (ns *NetStack) OpenUDP(id int) *UDPSocket {
 // UDP returns socket id, or nil.
 func (ns *NetStack) UDP(id int) *UDPSocket { return ns.udp[id] }
 
-// SendTo emits one datagram toward the responder. Non-blocking.
+// SendTo emits one datagram toward the responder. Non-blocking. The
+// payload must fit one IP packet of at most hw.MTU bytes.
 func (u *UDPSocket) SendTo(d Datagram) {
-	if d.Bytes <= 0 || d.Bytes > hw.MTU-8 {
-		panic(fmt.Sprintf("guestos: UDP payload %d out of range", d.Bytes))
+	if d.Bytes <= 0 || d.Bytes > maxUDPPayload {
+		panic(fmt.Sprintf("guestos: UDP payload %d out of range (1..%d)", d.Bytes, maxUDPPayload))
 	}
 	u.Sent++
 	u.stack.kernel.charge(udpTxOps)
-	u.stack.device().SendSegment(d.Bytes+hw.UDPHeaderBytes, func() {
-		if u.Sink != nil {
-			u.SinkBytes += d.Bytes
-			u.Sink(d)
-			return
-		}
-		if u.Responder == nil {
-			return // silently dropped at a closed remote port
-		}
-		reply := u.Responder(d)
-		k := u.stack.kernel
-		k.Sim.After(peerProcDelay, "udp-reply", func() {
-			u.stack.device().ReturnSegment(reply.Bytes+hw.UDPHeaderBytes, func() {
-				u.deliver(reply)
-			})
-		})
-	})
+	u.stack.device().SendSegment(Packet{IPBytes: d.Bytes + hw.UDPHeaderBytes, To: (*udpRemote)(u), Datagram: d})
 }
+
+type (
+	// udpRemote is the socket's remote end: its Sink or Responder.
+	udpRemote UDPSocket
+	// udpReply puts the Responder's oldest waiting reply on the wire.
+	udpReply UDPSocket
+	// udpLocal is the socket's local end, where replies arrive.
+	udpLocal UDPSocket
+)
+
+// Deliver implements Endpoint: a datagram reached the remote station.
+func (r *udpRemote) Deliver(p Packet) {
+	u := (*UDPSocket)(r)
+	d := p.Datagram
+	if u.Sink != nil {
+		u.SinkBytes += d.Bytes
+		u.Sink(d)
+		return
+	}
+	if u.Responder == nil {
+		return // silently dropped at a closed remote port
+	}
+	u.replies.push(u.Responder(d))
+	s := u.stack.kernel.Sim
+	s.Schedule(s.Now()+peerProcDelay, "udp-reply", (*udpReply)(u))
+}
+
+// Fire implements sim.Caller.
+func (r *udpReply) Fire(sim.Time) {
+	u := (*UDPSocket)(r)
+	d := u.replies.pop()
+	u.stack.device().ReturnSegment(Packet{IPBytes: d.Bytes + hw.UDPHeaderBytes, To: (*udpLocal)(u), Datagram: d})
+}
+
+// Deliver implements Endpoint: a reply reached the guest stack.
+func (l *udpLocal) Deliver(p Packet) { (*UDPSocket)(l).deliver(p.Datagram) }
 
 func (u *UDPSocket) deliver(d Datagram) {
 	u.Rcvd++
@@ -390,4 +438,32 @@ func (u *UDPSocket) Pop() (Datagram, bool) {
 	d := u.rcvq[0]
 	u.rcvq = u.rcvq[1:]
 	return d, true
+}
+
+// fifo is a first-in, first-out queue that reuses its backing array, so
+// a queue that keeps draining allocates nothing once it has grown.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the oldest item. The queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }

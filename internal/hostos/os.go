@@ -167,9 +167,10 @@ func (o *OS) settleAll() {
 }
 
 // refreshAll re-arms each busy core's event in core order, so sequence
-// numbers go out in the same order as a Cancel plus Schedule per core.
-// Rearm fails, and a fresh event is scheduled, when undispatch cancelled
-// the event or when it is the one firing (recycled before it fired).
+// numbers go out in the same order as a Cancel plus Schedule per core,
+// and cancels each idle core's. Rearm fails, and a fresh event is
+// scheduled, when the core was idle or when its event is the one firing
+// (recycled before it fired).
 func (o *OS) refreshAll() {
 	now := o.Sim.Now()
 	for i := range o.cores {
@@ -366,14 +367,17 @@ func (o *OS) dispatch(t *Thread, core int) {
 }
 
 // undispatch removes the running thread from core. preempt marks the
-// removal involuntary for accounting.
+// removal involuntary for accounting. The core's event stays armed: every
+// undispatch runs inside a transition, whose refreshAll cancels the event
+// if the core stays idle or re-arms it with the next sequence number, just
+// as a fresh Schedule would, so pop order is unchanged and no tombstone is
+// left behind.
 func (o *OS) undispatch(core int, preempt bool) {
 	c := &o.cores[core]
 	t := c.t
 	if t == nil {
 		panic("hostos: undispatch of idle core")
 	}
-	c.event.Cancel()
 	if preempt {
 		t.preempted++
 	}

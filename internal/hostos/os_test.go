@@ -419,6 +419,53 @@ func TestRefreshAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPreemptionLeavesNoTombstone: undispatch leaves a core's event armed
+// for the transition's refreshAll to re-arm or cancel, so a preemption or
+// a block leaves no cancelled event on the heap. An above-normal thread
+// that computes briefly and sleeps 3 ms preempts one of two normal
+// looping threads on every wake-up; no core ever idles, so every pending
+// event is a busy core's timer or the sleeper's wake-up.
+func TestPreemptionLeavesNoTombstone(t *testing.T) {
+	o := newOS(t)
+	p := o.NewProcess("p")
+	loop := computeProfile("w", 10e6, cost.Mix{Int: 0.5, Mem: 0.5})
+	var normal []*Thread
+	for i := 0; i < 2; i++ {
+		normal = append(normal, o.Spawn(p, "w", PrioNormal, cost.Loop(loop)))
+	}
+	burst := &cost.Profile{Name: "hi", Steps: []cost.Step{
+		{Kind: cost.StepCompute, Cycles: 1e6, Mix: cost.Mix{Int: 1}},
+		{Kind: cost.StepSleep, Dur: 3 * sim.Millisecond},
+	}}
+	hi := o.Spawn(p, "hi", PrioAboveNormal, cost.Loop(burst))
+
+	const windows = 500
+	bad, extra := 0, 0
+	for i := 0; i < windows; i++ {
+		o.RunFor(1700 * sim.Microsecond)
+		want := 0
+		for c := range o.cores {
+			if o.cores[c].t != nil {
+				want++
+			}
+		}
+		if hi.Blocked() {
+			want++
+		}
+		if got := o.Sim.Pending(); got != want {
+			bad++
+			extra += got - want
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d windows held more pending events than busy cores plus sleepers (%d extra in all)", bad, windows, extra)
+	}
+	if normal[0].Preemptions()+normal[1].Preemptions() < windows/2 {
+		t.Fatalf("the normal threads were preempted %d and %d times, want one per wake-up",
+			normal[0].Preemptions(), normal[1].Preemptions())
+	}
+}
+
 // BenchmarkTransition times the scheduler's transitions: one op is 100 ms
 // of virtual time of the three looping threads of loopingOS.
 func BenchmarkTransition(b *testing.B) {

@@ -211,7 +211,7 @@ func TestLinkSerializationAndDelivery(t *testing.T) {
 	s := sim.New()
 	l := FastEthernet(s)
 	var arrived sim.Time
-	l.Transmit(MSS+TCPHeaderBytes, func() { arrived = s.Now() })
+	l.Transmit(MSS+TCPHeaderBytes, callFunc(func() { arrived = s.Now() }))
 	s.Run()
 	// 1538 wire bytes at 100 Mbps = 123.04 us + 60 us propagation.
 	want := l.SerializationTime(MSS+TCPHeaderBytes+EthernetOverhead) + l.PropDelay
@@ -236,15 +236,26 @@ func TestLinkBackpressure(t *testing.T) {
 	}
 }
 
+// callFunc adapts a closure to sim.Caller for the link tests.
+type callFunc func()
+
+func (f callFunc) Fire(sim.Time) { f() }
+
 func TestLinkOversizeFramePanics(t *testing.T) {
-	s := sim.New()
-	l := FastEthernet(s)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on oversize frame")
-		}
-	}()
-	l.Transmit(MTU+TCPHeaderBytes+1, nil)
+	for _, ipBytes := range []int64{MTU + 1, MTU + TCPHeaderBytes + 1} {
+		func() {
+			s := sim.New()
+			l := FastEthernet(s)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic on a %d-byte frame", ipBytes)
+				}
+			}()
+			l.Transmit(ipBytes, nil)
+		}()
+	}
+	// The MTU itself fits.
+	FastEthernet(sim.New()).Transmit(MTU, nil)
 }
 
 func TestTheoreticalTCPGoodput(t *testing.T) {

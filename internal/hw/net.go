@@ -46,13 +46,15 @@ func (l *Link) SerializationTime(wireBytes int64) sim.Time {
 	return sim.FromSeconds(float64(wireBytes*8) / l.BandwidthBps)
 }
 
-// Transmit sends a frame with the given on-wire size (IP packet size; the
-// Ethernet overhead is added here) and calls deliver at the receiver when
-// the frame arrives. It returns the time at which the transmitter becomes
-// free to send the next frame.
-func (l *Link) Transmit(ipBytes int64, deliver func()) sim.Time {
-	if ipBytes <= 0 || ipBytes > MTU+TCPHeaderBytes {
-		panic(fmt.Sprintf("hw: frame of %d IP bytes exceeds MTU framing", ipBytes))
+// Transmit sends a frame carrying an IP packet of ipBytes, headers
+// included (the Ethernet overhead is added here), and schedules deliver
+// at the receiver when the frame arrives; a nil deliver schedules
+// nothing. It returns the time at which the transmitter becomes free to
+// send the next frame. A packet larger than the MTU panics: the guest
+// stack segments before it transmits.
+func (l *Link) Transmit(ipBytes int64, deliver sim.Caller) sim.Time {
+	if ipBytes <= 0 || ipBytes > MTU {
+		panic(fmt.Sprintf("hw: IP packet of %d bytes outside 1..%d, the MTU", ipBytes, MTU))
 	}
 	wire := ipBytes + EthernetOverhead
 	ser := l.SerializationTime(wire)
@@ -67,7 +69,7 @@ func (l *Link) Transmit(ipBytes int64, deliver func()) sim.Time {
 
 	arrive := l.busyUntil + l.PropDelay
 	if deliver != nil {
-		l.s.At(arrive, "frame-deliver", deliver)
+		l.s.Schedule(arrive, "frame-deliver", deliver)
 	}
 	return l.busyUntil
 }

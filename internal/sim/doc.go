@@ -8,14 +8,17 @@
 // ratios demand bit-identical scheduling decisions for a given seed.
 //
 // The queue holds one event type with one lifecycle. A callback is
-// either a closure (At/After, convenient for the detailed stack) or a
-// Caller (Schedule, closure-free, for the fleet's timer arms and the host
-// scheduler's core timers). Reschedule and Rearm move a pending event in
-// place; Rearm also gives it the next insertion sequence. Every event is drawn from a per-simulator free list, recycled
-// the moment it fires or its cancellation is reaped, and addressed
-// through the generation-checked Handle its scheduling call returns, so
-// steady-state scheduling allocates nothing — the fleet simulator's
-// event budget (hundreds of millions of events per run) depends on it.
+// either a closure (At/After, which the detailed stack's disk and sleep
+// paths still use) or a Caller (Schedule, closure-free, for the fleet's
+// timer arms, the host scheduler's core timers, and the guest network
+// path's recycled NIC frames and ACK and reply timers). Reschedule and
+// Rearm move a pending event in place; Rearm also gives it the next
+// insertion sequence. Every event is drawn from a per-simulator free
+// list, recycled the moment it fires or its cancellation is reaped, and
+// addressed through the generation-checked Handle its scheduling call
+// returns, so steady-state scheduling allocates nothing — the fleet
+// simulator's event budget (hundreds of millions of events per run)
+// depends on it.
 //
 // Higher layers (internal/hw, internal/hostos, internal/vmm) are written in
 // event-callback style rather than goroutine-per-process style: goroutine

@@ -117,5 +117,10 @@ func TestSimClientCorrectsSkew(t *testing.T) {
 // testNIC: direct link attachment for the simulated client tests.
 type testNIC struct{ tx, rx *hw.Link }
 
-func (n *testNIC) SendSegment(b int64, d func())   { n.tx.Transmit(b, d) }
-func (n *testNIC) ReturnSegment(b int64, d func()) { n.rx.Transmit(b, d) }
+func (n *testNIC) SendSegment(p guestos.Packet)   { n.tx.Transmit(p.IPBytes, &arrival{p}) }
+func (n *testNIC) ReturnSegment(p guestos.Packet) { n.rx.Transmit(p.IPBytes, &arrival{p}) }
+
+// arrival hands a packet to its endpoint when its frame arrives.
+type arrival struct{ p guestos.Packet }
+
+func (a *arrival) Fire(sim.Time) { a.p.To.Deliver(a.p) }

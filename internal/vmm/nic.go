@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"vmdg/internal/guestos"
 	"vmdg/internal/hw"
 	"vmdg/internal/sim"
 )
@@ -18,12 +19,13 @@ type serviceQueue struct {
 	Dropped   uint64
 }
 
-// enqueue schedules fn to run once the server has processed this item,
-// service time d, FIFO behind earlier items. It reports false (and drops
-// the item) when the queue is full.
-func (q *serviceQueue) enqueue(d sim.Time, fn func()) bool {
+// enqueue schedules f to fire once the server has processed it, service
+// time d, FIFO behind earlier items. It reports false, and the NIC's
+// pool takes f back, when the queue is full.
+func (q *serviceQueue) enqueue(d sim.Time, f *frame) bool {
 	if q.cap > 0 && q.queued >= q.cap {
 		q.Dropped++
+		f.nic.recycle(f)
 		return false
 	}
 	start := q.s.Now()
@@ -33,11 +35,49 @@ func (q *serviceQueue) enqueue(d sim.Time, fn func()) bool {
 	q.busyUntil = start + d
 	q.Served++
 	q.queued++
-	q.s.At(q.busyUntil, "svcq", func() {
-		q.queued--
-		fn()
-	})
+	q.s.Schedule(q.busyUntil, "svcq", f)
 	return true
+}
+
+// frameStage is where a frame is on its way through a VirtualNIC.
+type frameStage uint8
+
+const (
+	txQueued frameStage = iota // in the device path toward the LAN
+	txWire                     // on the tx link
+	rxWire                     // on the rx link
+	rxQueued                   // in the device path up into the guest
+)
+
+// frame carries one packet through a VirtualNIC's service queues and
+// links. It is the sim.Caller of each hop, and the NIC recycles it once
+// the packet is delivered or dropped, so a packet in flight allocates
+// nothing at steady state.
+type frame struct {
+	nic   *VirtualNIC
+	stage frameStage
+	p     guestos.Packet
+}
+
+// Fire implements sim.Caller: the frame finished its current hop.
+func (f *frame) Fire(sim.Time) {
+	n := f.nic
+	switch f.stage {
+	case txQueued:
+		n.txq.queued--
+		f.stage = txWire
+		n.tx.Transmit(f.p.IPBytes, f)
+	case txWire:
+		n.deliver(f)
+	case rxWire:
+		n.FramesIn++
+		n.vm.chargeEmulation(n.vm.Prof.NetCPUPerFrame)
+		f.stage = rxQueued
+		n.rxq.enqueue(n.serviceTime(f.p.IPBytes), f)
+	case rxQueued:
+		n.rxq.queued--
+		n.deliver(f)
+	}
 }
 
 // VirtualNIC implements guestos.NetDevice. In bridged mode each direction
@@ -51,6 +91,8 @@ type VirtualNIC struct {
 
 	txq, rxq *serviceQueue
 	natq     *serviceQueue // shared, NAT mode only
+
+	free []*frame // recycled frames
 
 	// Stats
 	FramesOut, FramesIn uint64
@@ -69,21 +111,46 @@ func newVirtualNIC(vm *VM, tx, rx *hw.Link) *VirtualNIC {
 	return n
 }
 
+// newFrame draws a frame for p from the pool.
+func (n *VirtualNIC) newFrame(stage frameStage, p guestos.Packet) *frame {
+	var f *frame
+	if k := len(n.free); k > 0 {
+		f = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		f = &frame{nic: n}
+	}
+	f.stage, f.p = stage, p
+	return f
+}
+
+// recycle returns f to the pool.
+func (n *VirtualNIC) recycle(f *frame) {
+	f.p = guestos.Packet{}
+	n.free = append(n.free, f)
+}
+
+// deliver hands f's packet to its endpoint. The frame goes back to the
+// pool first, because the delivery may send again.
+func (n *VirtualNIC) deliver(f *frame) {
+	p := f.p
+	n.recycle(f)
+	p.To.Deliver(p)
+}
+
 // serviceTime is the emulation/proxy cost for one frame.
 func (n *VirtualNIC) serviceTime(ipBytes int64) sim.Time {
-	p := n.vm.Prof
+	p := &n.vm.Prof
 	return p.NetPerFrame + sim.Time(int64(p.NetPerByte)*ipBytes)
 }
 
 // SendSegment implements guestos.NetDevice: device path, then the wire.
 // Frames the proxy queue cannot hold are dropped, as a real NAT's socket
 // buffer does under UDP overload.
-func (n *VirtualNIC) SendSegment(ipBytes int64, deliverToPeer func()) {
+func (n *VirtualNIC) SendSegment(p guestos.Packet) {
 	n.FramesOut++
 	n.vm.chargeEmulation(n.vm.Prof.NetCPUPerFrame)
-	n.txq.enqueue(n.serviceTime(ipBytes), func() {
-		n.tx.Transmit(ipBytes, deliverToPeer)
-	})
+	n.txq.enqueue(n.serviceTime(p.IPBytes), n.newFrame(txQueued, p))
 }
 
 // Drops reports frames lost to a full proxy queue.
@@ -98,10 +165,6 @@ func (n *VirtualNIC) Drops() uint64 {
 
 // ReturnSegment implements guestos.NetDevice: the wire, then the device
 // path back up into the guest.
-func (n *VirtualNIC) ReturnSegment(ipBytes int64, deliverToGuest func()) {
-	n.rx.Transmit(ipBytes, func() {
-		n.FramesIn++
-		n.vm.chargeEmulation(n.vm.Prof.NetCPUPerFrame)
-		n.rxq.enqueue(n.serviceTime(ipBytes), deliverToGuest)
-	})
+func (n *VirtualNIC) ReturnSegment(p guestos.Packet) {
+	n.rx.Transmit(p.IPBytes, n.newFrame(rxWire, p))
 }

@@ -162,7 +162,10 @@ func (p Profile) ExpandFactor(m cost.Mix) float64 {
 // re-weighted by where the host cycles actually go (a heavily expanded
 // kernel step becomes mostly integer work: trap handling and translation
 // are ALU/branch code, while the guest's memory traffic stays constant).
-func (p Profile) ExpandStep(s cost.Step) cost.Step {
+//
+// The receiver is a pointer because a vCPU calls this on every guest
+// compute step, and a Profile is too large to copy that often.
+func (p *Profile) ExpandStep(s cost.Step) cost.Step {
 	if s.Kind != cost.StepCompute {
 		return s
 	}
