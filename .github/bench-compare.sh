@@ -5,14 +5,15 @@
 #
 #   bash .github/bench-compare.sh HEAD^
 #
-# The base revision is checked out into a detached git worktree, which
-# is removed on exit. Each pair of runs measures every workload once on
-# each side with one seed; which side goes first alternates from pair
-# to pair, so drift in the machine's speed falls on both sides alike.
-# Each side's runs are merged into one record, and `-compare` checks
-# every end-to-end median of this checkout against the base's. The
-# summary is written to cmp.json. The script exits non-zero if any
-# metric regressed beyond its bound or any run failed its checks.
+# The base revision is extracted with `git archive` into a temporary
+# directory, which is removed on exit; the checkout's .git is only
+# read. Each pair of runs measures every workload once on each side
+# with one seed; which side goes first alternates from pair to pair, so
+# drift in the machine's speed falls on both sides alike. Each side's
+# runs are merged into one record, and `-compare` checks every
+# end-to-end median of this checkout against the base's. The summary is
+# written to cmp.json. The script exits non-zero if any metric regressed
+# beyond its bound or any run failed its checks.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -28,13 +29,10 @@ seconds=15
 root=$(pwd)
 tmp=$(mktemp -d)
 base="$tmp/base"
-cleanup() {
-  git -C "$root" worktree remove --force "$base" 2>/dev/null || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach "$base" "$base_rev" >/dev/null
-echo "base $(git -C "$base" rev-parse --short HEAD), new $(git -C "$root" rev-parse --short HEAD) (working tree)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$base"
+git -C "$root" archive "$base_rev" | tar -x -C "$base"
+echo "base $(git -C "$root" rev-parse --short "$base_rev"), new $(git -C "$root" rev-parse --short HEAD) (working tree)"
 
 failed=0
 # run SIDE DIR SEED WORKLOAD: one recorded run in checkout DIR.

@@ -284,14 +284,17 @@ func TestFSEvictionUnderPressure(t *testing.T) {
 
 // TestFSRewriteAfterDropAllocatesNothing: a dropped page keeps its entry
 // in its file's page table, so rewriting a range that was cached once
-// allocates nothing.
+// allocates nothing. The rewrites run inside one AllocsPerRun call, so
+// its count is exact: AllocsPerRun divides by the number of calls and
+// truncates.
 func TestFSRewriteAfterDropAllocatesNothing(t *testing.T) {
-	const chunk, runs = 64 << 10, 50
+	const chunk, rewrites = 64 << 10, 50
 	s := sim.New()
 	k, _ := newKernelWithDisk(s)
 	fs := k.FS
-	// One chunk per measured run plus AllocsPerRun's warm-up run.
-	fs.write(nil, "f", 0, chunk*(runs+1))
+	// AllocsPerRun runs the loop twice, a warm-up and the measured call,
+	// and each pass rewrites its own chunks.
+	fs.write(nil, "f", 0, 2*rewrites*chunk)
 	if !fs.fsync(&GThread{Name: "sync", kernel: k, state: gBlocked}, "f") {
 		t.Fatal("fsync of a dirty file did not block")
 	}
@@ -301,15 +304,17 @@ func TestFSRewriteAfterDropAllocatesNothing(t *testing.T) {
 		t.Fatalf("after fsync and drop: %d cached, %d dirty bytes", fs.CachedBytes(), fs.DirtyBytes())
 	}
 	off := int64(0)
-	allocs := testing.AllocsPerRun(runs, func() {
-		fs.write(nil, "f", off, chunk)
-		off += chunk
+	allocs := testing.AllocsPerRun(1, func() {
+		for range rewrites {
+			fs.write(nil, "f", off, chunk)
+			off += chunk
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%v allocations per %d KB rewritten after DropCaches, want 0", allocs, chunk>>10)
+		t.Fatalf("%v allocations in %d rewrites of %d KB after DropCaches, want 0", allocs, rewrites, chunk>>10)
 	}
-	if got := fs.DirtyBytes(); got != chunk*(runs+1) {
-		t.Fatalf("rewrite left %d dirty bytes, want %d", got, chunk*(runs+1))
+	if got := fs.DirtyBytes(); got != 2*rewrites*chunk {
+		t.Fatalf("rewrite left %d dirty bytes, want %d", got, 2*rewrites*chunk)
 	}
 }
 

@@ -215,7 +215,7 @@ func (o *OS) coreEvent(core int) {
 		c := &o.cores[core]
 		t := c.t
 		if t == nil {
-			return // stale event that escaped cancellation
+			return // defensive: refreshAll cancels an idle core's event
 		}
 		// Completion epsilon must exceed the worst-case event-time rounding
 		// error of 0.5 ns × rate (≈1.2 cycles at 2.4 GHz), or a step can
@@ -369,9 +369,10 @@ func (o *OS) dispatch(t *Thread, core int) {
 // undispatch removes the running thread from core. preempt marks the
 // removal involuntary for accounting. The core's event stays armed: every
 // undispatch runs inside a transition, whose refreshAll cancels the event
-// if the core stays idle or re-arms it with the next sequence number, just
-// as a fresh Schedule would, so pop order is unchanged and no tombstone is
-// left behind.
+// if the core stays idle or re-arms it in place with the next sequence
+// number, just as a fresh Schedule would, so pop order is unchanged and
+// a core that is refilled at once costs one heap fix instead of a
+// removal and an insertion.
 func (o *OS) undispatch(core int, preempt bool) {
 	c := &o.cores[core]
 	t := c.t

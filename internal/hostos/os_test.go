@@ -406,13 +406,20 @@ func loopingOS(tb testing.TB) *OS {
 
 // TestRefreshAllocatesNothing: a steady scheduler transition re-arms each
 // core's event in place, with a per-core Caller and reused rate slices,
-// so it allocates nothing.
+// so it allocates nothing. The windows run inside one AllocsPerRun call,
+// so its count is exact: AllocsPerRun divides by the number of calls and
+// truncates.
 func TestRefreshAllocatesNothing(t *testing.T) {
+	const windows = 50
 	o := loopingOS(t)
 	fired := o.Sim.Fired()
-	allocs := testing.AllocsPerRun(50, func() { o.RunFor(100 * sim.Millisecond) })
+	allocs := testing.AllocsPerRun(1, func() {
+		for range windows {
+			o.RunFor(100 * sim.Millisecond)
+		}
+	})
 	if allocs != 0 {
-		t.Fatalf("%v allocations per 100 ms of three looping threads, want 0", allocs)
+		t.Fatalf("%v allocations in %d windows of 100 ms of three looping threads, want 0", allocs, windows)
 	}
 	if o.Sim.Fired() == fired {
 		t.Fatal("no scheduler event fired")
@@ -420,11 +427,12 @@ func TestRefreshAllocatesNothing(t *testing.T) {
 }
 
 // TestPreemptionLeavesNoTombstone: undispatch leaves a core's event armed
-// for the transition's refreshAll to re-arm or cancel, so a preemption or
-// a block leaves no cancelled event on the heap. An above-normal thread
-// that computes briefly and sleeps 3 ms preempts one of two normal
-// looping threads on every wake-up; no core ever idles, so every pending
-// event is a busy core's timer or the sleeper's wake-up.
+// for the transition's refreshAll to re-arm or cancel, so after a
+// preemption or a block each busy core has exactly one pending event and
+// an idle core none. An above-normal thread that computes briefly and
+// sleeps 3 ms preempts one of two normal looping threads on every
+// wake-up; no core ever idles, so every pending event is a busy core's
+// timer or the sleeper's wake-up.
 func TestPreemptionLeavesNoTombstone(t *testing.T) {
 	o := newOS(t)
 	p := o.NewProcess("p")

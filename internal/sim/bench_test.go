@@ -48,7 +48,7 @@ func BenchmarkSchedulePooled(b *testing.B) {
 
 // BenchmarkCancelReschedule models the fleet's hot pattern: a pending
 // completion event moved on every rate change. Reschedule fixes the heap
-// in place instead of leaving a cancelled tombstone plus a fresh event.
+// in place, one sift where Cancel plus Schedule would take two.
 func BenchmarkCancelReschedule(b *testing.B) {
 	b.ReportAllocs()
 	s := New()
@@ -63,8 +63,8 @@ func BenchmarkCancelReschedule(b *testing.B) {
 }
 
 // BenchmarkRearm is the host scheduler's per-core timer: a pending event
-// moved to a new time and label with a fresh sequence, in place, where
-// Cancel plus Schedule would leave a tombstone behind.
+// moved to a new time and label with a fresh sequence, in place, one sift
+// where Cancel plus Schedule would take two.
 func BenchmarkRearm(b *testing.B) {
 	b.ReportAllocs()
 	s := New()

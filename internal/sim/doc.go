@@ -13,10 +13,11 @@
 // timer arms, the host scheduler's core timers, and the guest network
 // path's recycled NIC frames and ACK and reply timers). Reschedule and
 // Rearm move a pending event in place; Rearm also gives it the next
-// insertion sequence. Every event is drawn from a per-simulator free
-// list, recycled the moment it fires or its cancellation is reaped, and
-// addressed through the generation-checked Handle its scheduling call
-// returns, so steady-state scheduling allocates nothing — the fleet
+// insertion sequence. Cancel takes an event out of the queue at once, so
+// the queue holds only live events. Every event is drawn from a
+// per-simulator free list, recycled the moment it fires or is cancelled,
+// and addressed through the generation-checked Handle its scheduling
+// call returns, so steady-state scheduling allocates nothing — the fleet
 // simulator's event budget (hundreds of millions of events per run)
 // depends on it.
 //

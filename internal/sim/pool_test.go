@@ -104,9 +104,9 @@ func TestPooledEventReuse(t *testing.T) {
 	}
 }
 
-// TestCancelledPooledEventReaped checks the lazy-deletion path: a
-// cancelled pooled occurrence is recycled when it surfaces, and the next
-// Schedule reuses it safely.
+// TestCancelledPooledEventReaped: a cancelled pooled occurrence leaves the
+// queue and is recycled at once, never fires, and the next Schedule
+// reuses a pooled event safely.
 func TestCancelledPooledEventReaped(t *testing.T) {
 	s := New()
 	c := &fireCounter{}

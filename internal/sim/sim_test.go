@@ -483,7 +483,10 @@ func (f callerFunc) Fire(now Time) { f(now) }
 // TestResetReusesPooledEvents: after a Reset, scheduling draws from the
 // free list rather than allocating — the arena-reuse contract. It holds
 // for closures too: At/After wrap a preallocated fn without allocating.
+// Each measurement loops inside one AllocsPerRun call, so its count is
+// exact: AllocsPerRun divides by the number of calls and truncates.
 func TestResetReusesPooledEvents(t *testing.T) {
+	const rounds = 10
 	s := New()
 	c := &resetCaller{}
 	for i := 0; i < 64; i++ {
@@ -492,20 +495,23 @@ func TestResetReusesPooledEvents(t *testing.T) {
 	s.RunUntil(32 * Millisecond) // fire some, leave the rest queued
 	s.Reset()
 
-	allocs := testing.AllocsPerRun(10, func() {
-		h := s.Schedule(Second, "steady", c)
-		s.Reset()
-		_ = h
+	allocs := testing.AllocsPerRun(1, func() {
+		for range rounds {
+			s.Schedule(Second, "steady", c)
+			s.Reset()
+		}
 	})
 	if allocs > 0 {
-		t.Fatalf("schedule after Reset allocates %.1f per op, want 0", allocs)
+		t.Fatalf("%v allocations in %d schedules after Reset, want 0", allocs, rounds)
 	}
 	fn := func() { c.fired++ }
-	allocs = testing.AllocsPerRun(10, func() {
-		s.After(Second, "x", fn)
-		s.Reset()
+	allocs = testing.AllocsPerRun(1, func() {
+		for range rounds {
+			s.After(Second, "x", fn)
+			s.Reset()
+		}
 	})
 	if allocs > 0 {
-		t.Fatalf("After after Reset allocates %.1f per op, want 0", allocs)
+		t.Fatalf("%v allocations in %d Afters after Reset, want 0", allocs, rounds)
 	}
 }
