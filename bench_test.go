@@ -130,11 +130,11 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 	next = func() {
 		n++
 		if n < b.N {
-			s.After(sim.Microsecond, "tick", next)
+			s.Schedule(s.Now()+sim.Microsecond, "tick", callFunc(next))
 		}
 	}
 	b.ResetTimer()
-	s.After(0, "start", next)
+	s.Schedule(s.Now(), "start", callFunc(next))
 	s.Run()
 }
 
@@ -322,3 +322,8 @@ func BenchmarkAblationConfinement(b *testing.B) {
 	b.ReportMetric(res.UnpinnedPct, "unpinned-pct")
 	b.ReportMetric(res.PinnedPct, "pinned-pct")
 }
+
+// callFunc adapts a closure to sim.Caller for tests.
+type callFunc func()
+
+func (f callFunc) Fire(sim.Time) { f() }

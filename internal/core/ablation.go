@@ -45,9 +45,8 @@ func TimesyncAblation(cfg Config) (*TimesyncResult, error) {
 	vm.PowerOn(hostos.PrioIdle)
 
 	// Record guest/corrected stamps around the unit via harness probes.
-	var trueStart, trueEnd sim.Time
-	var guestStart, guestEnd sim.Time
-	var corrStart, corrEnd sim.Time
+	start := &clockStamp{vm: vm, client: client}
+	var trueEnd, guestEnd, corrEnd sim.Time
 
 	// Saturate the host with two normal-priority compute hogs so the
 	// idle-priority vCPU starves intermittently.
@@ -63,19 +62,10 @@ func TimesyncAblation(cfg Config) (*TimesyncResult, error) {
 	}
 
 	// Periodic UDP sync exchanges, like a measurement daemon.
-	var poker func()
-	poker = func() {
-		client.Poke()
-		host.Sim.After(50*sim.Millisecond, "timesync-poke", poker)
-	}
-	host.Sim.After(5*sim.Millisecond, "timesync-start", poker)
+	host.Sim.Schedule(host.Sim.Now()+5*sim.Millisecond, "timesync-start", &poker{s: host.Sim, client: client})
 
 	// Stamp the start once the VM is warm.
-	host.Sim.After(50*sim.Millisecond, "stamp-start", func() {
-		trueStart = host.Sim.Now()
-		guestStart = vm.GuestNow()
-		corrStart = client.Now()
-	})
+	host.Sim.Schedule(host.Sim.Now()+50*sim.Millisecond, "stamp-start", start)
 
 	deadline := 600 * sim.Second
 	for host.Sim.Now() < deadline && !vm.GuestFinished() {
@@ -94,13 +84,37 @@ func TimesyncAblation(cfg Config) (*TimesyncResult, error) {
 	vm.PowerOff()
 
 	res := &TimesyncResult{
-		TrueSeconds:      (trueEnd - trueStart).Seconds(),
-		GuestSeconds:     (guestEnd - guestStart).Seconds(),
-		CorrectedSeconds: (corrEnd - corrStart).Seconds(),
+		TrueSeconds:      (trueEnd - start.at).Seconds(),
+		GuestSeconds:     (guestEnd - start.guest).Seconds(),
+		CorrectedSeconds: (corrEnd - start.corrected).Seconds(),
 	}
 	res.GuestErr = relErr(res.GuestSeconds, res.TrueSeconds)
 	res.CorrectedErr = relErr(res.CorrectedSeconds, res.TrueSeconds)
 	return res, nil
+}
+
+// poker sends the time client's sync exchange every 50 ms.
+type poker struct {
+	s      *sim.Simulator
+	client *timesync.SimClient
+}
+
+// Fire implements sim.Caller.
+func (p *poker) Fire(now sim.Time) {
+	p.client.Poke()
+	p.s.Schedule(now+50*sim.Millisecond, "timesync-poke", p)
+}
+
+// clockStamp records the true, guest and corrected clocks when it fires.
+type clockStamp struct {
+	vm                   *vmm.VM
+	client               *timesync.SimClient
+	at, guest, corrected sim.Time
+}
+
+// Fire implements sim.Caller.
+func (c *clockStamp) Fire(now sim.Time) {
+	c.at, c.guest, c.corrected = now, c.vm.GuestNow(), c.client.Now()
 }
 
 // guestExactClock adapts the host's exact simulator clock to the

@@ -106,28 +106,8 @@ func calibrate(class *Class, prof vmm.Profile, seed uint64, ckptEvery int, quick
 	vm.SpawnGuest("einstein", worker)
 	vm.PowerOn(hostos.PrioIdle)
 
-	// The owner's interactive workload, switchable per phase.
-	var bursts []float64
-	bursting := true
-	user := host.NewProcess("user")
-	var issue func()
-	issue = func() {
-		if !bursting {
-			return
-		}
-		start := s.Now()
-		prog := &cost.Profile{Name: "burst", Steps: []cost.Step{
-			{Kind: cost.StepCompute, Cycles: interactiveBurst, Mix: cost.Mix{Int: 0.5, Mem: 0.3, FP: 0.2}},
-		}}
-		th := host.Spawn(user, "burst", hostos.PrioNormal, prog.Iter())
-		th.OnExit = func() {
-			if s.Now() >= warmup {
-				bursts = append(bursts, (s.Now()-start).Seconds()*1000)
-			}
-		}
-		s.After(sim.Second, "user-think", issue)
-	}
-	s.After(100*sim.Millisecond, "user-start", issue)
+	own := &owner{host: host, user: host.NewProcess("user"), warmup: warmup, bursting: true}
+	s.Schedule(s.Now()+100*sim.Millisecond, "user-start", own)
 
 	chunks := func() float64 {
 		return float64(worker.UnitsDone())*float64(wu.Chunks) + float64(worker.State.ChunksDone)
@@ -137,7 +117,7 @@ func calibrate(class *Class, prof vmm.Profile, seed uint64, ckptEvery int, quick
 	c0 := chunks()
 	host.RunFor(window)
 	c1 := chunks()
-	bursting = false // owner leaves; pending think-time events fizzle
+	own.bursting = false // owner leaves; pending think-time events fizzle
 	host.RunFor(window)
 	c2 := chunks()
 	vm.PowerOff()
@@ -145,8 +125,8 @@ func calibrate(class *Class, prof vmm.Profile, seed uint64, ckptEvery int, quick
 	cal := Calibration{
 		ActiveChunksPerSec: (c1 - c0) / window.Seconds(),
 		IdleChunksPerSec:   (c2 - c1) / window.Seconds(),
-		BurstMs:            bursts,
-		bins:               binBursts(bursts),
+		BurstMs:            own.bursts,
+		bins:               binBursts(own.bursts),
 	}
 	if len(cal.BurstMs) == 0 {
 		return Calibration{}, fmt.Errorf("grid: calibration of %s/%s produced no burst samples", class.Name, prof.Name)
@@ -155,4 +135,32 @@ func calibrate(class *Class, prof vmm.Profile, seed uint64, ckptEvery int, quick
 		return Calibration{}, fmt.Errorf("grid: calibration of %s/%s produced a non-positive chunk rate", class.Name, prof.Name)
 	}
 	return cal, nil
+}
+
+// owner is calibration's interactive workload: one burst, then a second
+// of think time, for as long as bursting is on. It records each burst's
+// latency once the warmup is over.
+type owner struct {
+	host     *hostos.OS
+	user     *hostos.Process
+	warmup   sim.Time
+	bursting bool
+	bursts   []float64
+}
+
+// Fire implements sim.Caller: the owner issues a burst.
+func (o *owner) Fire(now sim.Time) {
+	if !o.bursting {
+		return
+	}
+	prog := &cost.Profile{Name: "burst", Steps: []cost.Step{
+		{Kind: cost.StepCompute, Cycles: interactiveBurst, Mix: cost.Mix{Int: 0.5, Mem: 0.3, FP: 0.2}},
+	}}
+	th := o.host.Spawn(o.user, "burst", hostos.PrioNormal, prog.Iter())
+	th.OnExit = func() {
+		if end := o.host.Sim.Now(); end >= o.warmup {
+			o.bursts = append(o.bursts, (end-now).Seconds()*1000)
+		}
+	}
+	o.host.Sim.Schedule(now+sim.Second, "user-think", o)
 }

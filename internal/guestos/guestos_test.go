@@ -28,13 +28,13 @@ func newExecutor(s *sim.Simulator, k *Kernel) *executor {
 	k.SetWake(func() {
 		if e.halted {
 			e.halted = false
-			e.s.After(0, "vcpu-wake", e.step)
+			e.s.Schedule(e.s.Now(), "vcpu-wake", callFunc(e.step))
 		}
 	})
 	return e
 }
 
-func (e *executor) start() { e.s.After(0, "vcpu-start", e.step) }
+func (e *executor) start() { e.s.Schedule(e.s.Now(), "vcpu-start", callFunc(e.step)) }
 
 func (e *executor) step() {
 	for {
@@ -46,7 +46,7 @@ func (e *executor) step() {
 		switch st.Kind {
 		case cost.StepCompute:
 			e.cycles += st.Cycles
-			e.s.After(sim.FromSeconds(st.Cycles/e.freq), "vcpu-compute", e.step)
+			e.s.Schedule(e.s.Now()+sim.FromSeconds(st.Cycles/e.freq), "vcpu-compute", callFunc(e.step))
 			return
 		case cost.StepHalt:
 			e.halted = true
@@ -71,13 +71,13 @@ type fakeDisk struct {
 func (d *fakeDisk) ReadBlocks(off, bytes int64, done func()) {
 	d.reads++
 	d.readByte += bytes
-	d.s.After(d.latency+sim.FromSeconds(float64(bytes)/d.bps), "fake-read", done)
+	d.s.Schedule(d.s.Now()+d.latency+sim.FromSeconds(float64(bytes)/d.bps), "fake-read", callFunc(done))
 }
 
 func (d *fakeDisk) WriteBlocks(off, bytes int64, done func()) {
 	d.writes++
 	d.writByte += bytes
-	d.s.After(d.latency+sim.FromSeconds(float64(bytes)/d.bps), "fake-write", done)
+	d.s.Schedule(d.s.Now()+d.latency+sim.FromSeconds(float64(bytes)/d.bps), "fake-write", callFunc(done))
 }
 
 // nativeNIC bridges the guest stack straight onto hardware links, the
@@ -91,6 +91,11 @@ func (n *nativeNIC) ReturnSegment(p Packet) { n.rx.Transmit(p.IPBytes, &arrival{
 type arrival struct{ p Packet }
 
 func (a *arrival) Fire(sim.Time) { a.p.To.Deliver(a.p) }
+
+// callFunc adapts a closure to sim.Caller for tests.
+type callFunc func()
+
+func (f callFunc) Fire(sim.Time) { f() }
 
 func newKernelWithDisk(s *sim.Simulator) (*Kernel, *fakeDisk) {
 	d := &fakeDisk{s: s, latency: 5 * sim.Millisecond, bps: 60e6}
@@ -471,7 +476,7 @@ func TestUDPRecvBlocksUntilReply(t *testing.T) {
 	prog.Int(1000)
 	k.SpawnG("c2", prog.Profile().Iter())
 	// Issue the request from outside after 1 ms; the guest blocks on recv.
-	s.After(sim.Millisecond, "send-req", func() { u.SendTo(Datagram{Bytes: 48}) })
+	s.Schedule(s.Now()+sim.Millisecond, "send-req", callFunc(func() { u.SendTo(Datagram{Bytes: 48}) }))
 	e := newExecutor(s, k)
 	e.start()
 	s.Run()

@@ -99,6 +99,18 @@ type GThread struct {
 	kernel *Kernel
 }
 
+// sleepEnd ends a guest thread's sleep: its sim.Caller, a pointer alias
+// of GThread, so a sleep allocates nothing.
+type sleepEnd GThread
+
+// Fire implements sim.Caller: the thread wakes, and the timer interrupt
+// that woke it enters the kernel.
+func (e *sleepEnd) Fire(sim.Time) {
+	k := e.kernel
+	k.makeRunnable((*GThread)(e))
+	k.interruptEntry()
+}
+
 // Finished reports whether the guest thread's program has ended.
 func (g *GThread) Finished() bool { return g.state == gDone }
 
@@ -340,10 +352,7 @@ func (k *Kernel) handleStep(step *cost.Step) bool {
 	case cost.StepSleep:
 		g := k.cur
 		k.blockCur()
-		k.Sim.After(step.Dur, "guest-sleep", func() {
-			k.makeRunnable(g)
-			k.interruptEntry() // timer interrupt
-		})
+		k.Sim.Schedule(k.Sim.Now()+step.Dur, "guest-sleep", (*sleepEnd)(g))
 		return false
 
 	case cost.StepClock:

@@ -126,11 +126,11 @@ func TestVictimHintBorrowsAndRestores(t *testing.T) {
 	done := false
 	th2 := &Thread{}
 	_ = th2
-	s.After(sim.Millisecond, "spawn-hinted", func() {
+	s.Schedule(s.Now()+sim.Millisecond, "spawn-hinted", callFunc(func() {
 		t2 := o.SpawnWithHandler(hi, "svc2", PrioAboveNormal, burst.Iter(), nil)
 		_ = t2
 		done = true
-	})
+	}))
 	o.RunFor(5 * sim.Millisecond)
 	if !done {
 		t.Fatal("hinted spawn never ran")
@@ -299,12 +299,12 @@ func TestParkedThreadDoesNotStarveHigherPriorityReady(t *testing.T) {
 	// the park/unpark cycle is in full swing.
 	user := o.NewProcess("user")
 	finished := sim.Time(-1)
-	s.After(100*sim.Millisecond, "spawn-burst", func() {
+	s.Schedule(s.Now()+100*sim.Millisecond, "spawn-burst", callFunc(func() {
 		b := o.Spawn(user, "burst", PrioNormal, (&cost.Profile{Name: "b", Steps: []cost.Step{
 			{Kind: cost.StepCompute, Cycles: 0.040 * 2.4e9, Mix: cost.Mix{Int: 1}},
 		}}).Iter())
 		b.OnExit = func() { finished = s.Now() }
-	})
+	}))
 	o.RunFor(2 * sim.Second)
 	if finished < 0 {
 		t.Fatal("normal-priority burst starved behind the parked idle thread")

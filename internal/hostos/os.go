@@ -94,7 +94,7 @@ func (o *OS) SpawnWithHandler(p *Process, name string, prio Priority, prog cost.
 	if !prio.Valid() {
 		panic(fmt.Sprintf("hostos: invalid priority %d", int(prio)))
 	}
-	t := &Thread{Name: name, Prio: prio, Proc: p, prog: prog, state: stateReady, Handler: h}
+	t := &Thread{Name: name, Prio: prio, Proc: p, os: o, prog: prog, state: stateReady, Handler: h}
 	p.Threads = append(p.Threads, t)
 	o.transition(func() {
 		if !o.advance(t) {
@@ -168,9 +168,10 @@ func (o *OS) settleAll() {
 
 // refreshAll re-arms each busy core's event in core order, so sequence
 // numbers go out in the same order as a Cancel plus Schedule per core,
-// and cancels each idle core's. Rearm fails, and a fresh event is
-// scheduled, when the core was idle or when its event is the one firing
-// (recycled before it fired).
+// and cancels each idle core's event and zeroes its Handle, so an idle
+// core costs nothing on later transitions. Rearm fails, and a fresh
+// event is scheduled, when the core was idle or when its event is the
+// one firing (recycled before it fired).
 func (o *OS) refreshAll() {
 	now := o.Sim.Now()
 	for i := range o.cores {
@@ -185,7 +186,10 @@ func (o *OS) refreshAll() {
 		c := &o.cores[i]
 		t := c.t
 		if t == nil {
-			c.event.Cancel()
+			if c.event != (sim.Handle{}) {
+				c.event.Cancel()
+				c.event = sim.Handle{}
+			}
 			continue
 		}
 		t.rate = o.rates[i]
@@ -256,10 +260,9 @@ func (o *OS) advance(t *Thread) bool {
 		if !ok {
 			t.state = stateDone
 			if t.OnExit != nil {
-				exit := t.OnExit
 				// Fire after the transition completes so the callback sees
 				// settled accounting; zero delay keeps ordering deterministic.
-				o.Sim.After(0, "thread-exit", exit)
+				o.Sim.Schedule(o.Sim.Now(), "thread-exit", (*threadExit)(t))
 			}
 			return false
 		}
@@ -289,13 +292,13 @@ func (o *OS) advance(t *Thread) bool {
 func (o *OS) defaultHandle(t *Thread, step cost.Step) (blocked bool) {
 	switch step.Kind {
 	case cost.StepDiskRead:
-		o.M.Disk.Submit(step.File, step.Offset, step.Bytes, false, func() { o.Unblock(t) })
+		o.M.Disk.Submit(step.File, step.Offset, step.Bytes, false, (*threadWake)(t))
 		return true
 	case cost.StepDiskWrite, cost.StepDiskSync:
-		o.M.Disk.Submit(step.File, step.Offset, step.Bytes, true, func() { o.Unblock(t) })
+		o.M.Disk.Submit(step.File, step.Offset, step.Bytes, true, (*threadWake)(t))
 		return true
 	case cost.StepSleep:
-		o.Sim.After(step.Dur, "sleep-wake", func() { o.Unblock(t) })
+		o.Sim.Schedule(o.Sim.Now()+step.Dur, "sleep-wake", (*threadWake)(t))
 		return true
 	case cost.StepClock:
 		return false // host clock reads are exact and instantaneous here

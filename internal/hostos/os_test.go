@@ -120,12 +120,12 @@ func TestPriorityPreemption(t *testing.T) {
 	}
 	// At t=100ms, a normal-priority thread arrives and must preempt.
 	var hiStart, hiEnd sim.Time
-	o.Sim.At(100*sim.Millisecond, "spawn-hi", func() {
+	o.Sim.Schedule(100*sim.Millisecond, "spawn-hi", callFunc(func() {
 		hi := o.NewProcess("hi")
 		hiStart = o.Sim.Now()
 		th := o.Spawn(hi, "hi", PrioNormal, computeProfile("h", cycles/4, cost.Mix{Int: 1}).Iter())
 		th.OnExit = func() { hiEnd = o.Sim.Now() }
-	})
+	}))
 	o.Sim.Run()
 	// 0.25 s of work, dispatched immediately via preemption.
 	if got := (hiEnd - hiStart).Seconds(); math.Abs(got-0.25) > 1e-3 {
@@ -243,7 +243,7 @@ func TestCustomHandler(t *testing.T) {
 	handler := StepHandlerFunc(func(tt *Thread, s cost.Step) bool {
 		if s.Kind == cost.StepNetSend {
 			sawSend = true
-			o.Sim.After(sim.Millisecond, "net-done", func() { o.Unblock(tt) })
+			o.Sim.Schedule(o.Sim.Now()+sim.Millisecond, "net-done", callFunc(func() { o.Unblock(tt) }))
 			return true
 		}
 		return false
@@ -291,10 +291,10 @@ func TestPreemptionCounted(t *testing.T) {
 	for i := range lows {
 		lows[i] = o.Spawn(lowp, "low", PrioIdle, computeProfile("l", cycles, cost.Mix{Int: 1}).Iter())
 	}
-	o.Sim.At(50*sim.Millisecond, "hi", func() {
+	o.Sim.Schedule(50*sim.Millisecond, "hi", callFunc(func() {
 		hp := o.NewProcess("hi")
 		o.Spawn(hp, "hi", PrioNormal, computeProfile("h", cycles/10, cost.Mix{Int: 1}).Iter())
-	})
+	}))
 	o.Sim.Run()
 	if lows[0].Preemptions()+lows[1].Preemptions() == 0 {
 		t.Fatal("no preemption recorded")
@@ -474,6 +474,73 @@ func TestPreemptionLeavesNoTombstone(t *testing.T) {
 	}
 }
 
+// TestIdleCoreHoldsZeroHandle: refreshAll cancels an idle core's event
+// and zeroes its Handle, so later transitions skip the core instead of
+// cancelling an inert Handle again. One thread loops compute and a 3 ms
+// sleep on the default 2-core machine, so a core idles in most windows.
+func TestIdleCoreHoldsZeroHandle(t *testing.T) {
+	o := newOS(t)
+	p := o.NewProcess("p")
+	o.Spawn(p, "w", PrioNormal, cost.Loop(&cost.Profile{Name: "w", Steps: []cost.Step{
+		{Kind: cost.StepCompute, Cycles: 2e6, Mix: cost.Mix{Int: 1}},
+		{Kind: cost.StepSleep, Dur: 3 * sim.Millisecond},
+	}}))
+
+	const windows = 500
+	idle, bad := 0, 0
+	for range windows {
+		o.RunFor(700 * sim.Microsecond)
+		for c := range o.cores {
+			if o.cores[c].t != nil {
+				continue
+			}
+			idle++
+			if o.cores[c].event != (sim.Handle{}) {
+				bad++
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d idle-core observations held a non-zero Handle", bad, idle)
+	}
+	if idle == 0 {
+		t.Fatal("no core was ever idle")
+	}
+}
+
+// TestBlockingStepsAllocateNothing: a native thread's sleep or disk
+// request is woken by a pointer alias of the thread itself, so threads
+// looping compute and a blocking step allocate nothing. The windows run
+// inside one AllocsPerRun call, so its count is exact.
+func TestBlockingStepsAllocateNothing(t *testing.T) {
+	const windows = 50
+	o := newOS(t)
+	p := o.NewProcess("p")
+	for _, blocking := range []cost.Step{
+		{Kind: cost.StepSleep, Dur: 3 * sim.Millisecond},
+		{Kind: cost.StepDiskRead, File: "r", Bytes: 64 << 10},
+		{Kind: cost.StepDiskWrite, File: "w", Bytes: 64 << 10},
+	} {
+		o.Spawn(p, blocking.Kind.String(), PrioNormal, cost.Loop(&cost.Profile{Name: "io", Steps: []cost.Step{
+			{Kind: cost.StepCompute, Cycles: 1e6, Mix: cost.Mix{Int: 1}},
+			blocking,
+		}}))
+	}
+	o.RunFor(sim.Second)
+	fired := o.Sim.Fired()
+	allocs := testing.AllocsPerRun(1, func() {
+		for range windows {
+			o.RunFor(100 * sim.Millisecond)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations in %d windows of 100 ms of sleep, read and write loops, want 0", allocs, windows)
+	}
+	if o.Sim.Fired() == fired {
+		t.Fatal("no event fired")
+	}
+}
+
 // BenchmarkTransition times the scheduler's transitions: one op is 100 ms
 // of virtual time of the three looping threads of loopingOS.
 func BenchmarkTransition(b *testing.B) {
@@ -484,3 +551,8 @@ func BenchmarkTransition(b *testing.B) {
 		o.RunFor(100 * sim.Millisecond)
 	}
 }
+
+// callFunc adapts a closure to sim.Caller for tests.
+type callFunc func()
+
+func (f callFunc) Fire(sim.Time) { f() }

@@ -48,6 +48,7 @@ type Thread struct {
 	// wherever the scheduler can place it (the Figure 7 mechanism).
 	VictimHint func() int
 
+	os    *OS
 	prog  cost.Program
 	state threadState
 	core  int // valid while running
@@ -66,6 +67,21 @@ type Thread struct {
 	dispatches uint64
 	preempted  uint64
 }
+
+// The pointer aliases of Thread are its sim.Callers, so a blocking step
+// schedules its wake-up without allocating.
+type (
+	// threadWake unblocks the thread: a disk completion or a sleep's end.
+	threadWake Thread
+	// threadExit runs the thread's OnExit.
+	threadExit Thread
+)
+
+// Fire implements sim.Caller.
+func (w *threadWake) Fire(sim.Time) { w.os.Unblock((*Thread)(w)) }
+
+// Fire implements sim.Caller.
+func (x *threadExit) Fire(sim.Time) { x.OnExit() }
 
 // State description helpers (primarily for tests and traces).
 

@@ -30,11 +30,10 @@ type Disk struct {
 	lastEnd   int64
 
 	// Stats
-	Reads, Writes   uint64
-	BytesRead       int64
-	BytesWritten    int64
-	totalBusy       sim.Time
-	lastServiceTime sim.Time
+	Reads, Writes uint64
+	BytesRead     int64
+	BytesWritten  int64
+	totalBusy     sim.Time
 }
 
 // DesktopSATA returns a drive typical of the paper's 2007-era testbed:
@@ -50,9 +49,9 @@ func DesktopSATA(s *sim.Simulator, rng *sim.RNG) *Disk {
 	}
 }
 
-// Submit enqueues a request and calls done when the request completes.
-// Requests are serviced FIFO; the callback runs as a simulator event.
-func (d *Disk) Submit(file string, offset, bytes int64, write bool, done func()) {
+// Submit enqueues a request and fires done, as a "disk-complete" event,
+// when the request completes. Requests are serviced FIFO.
+func (d *Disk) Submit(file string, offset, bytes int64, write bool, done sim.Caller) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("hw: negative disk request size %d", bytes))
 	}
@@ -75,7 +74,6 @@ func (d *Disk) Submit(file string, offset, bytes int64, write bool, done func())
 	d.lastFile = file
 	d.lastEnd = offset + bytes
 	d.totalBusy += service
-	d.lastServiceTime = service
 
 	if write {
 		d.Writes++
@@ -84,7 +82,7 @@ func (d *Disk) Submit(file string, offset, bytes int64, write bool, done func())
 		d.Reads++
 		d.BytesRead += bytes
 	}
-	d.s.At(completion, "disk-complete", done)
+	d.s.Schedule(completion, "disk-complete", done)
 }
 
 // QueueDelay reports how long a request submitted now would wait before

@@ -143,14 +143,14 @@ func TestDiskSequentialFasterThanRandom(t *testing.T) {
 	var seqDone, randDone sim.Time
 
 	// Sequential: two adjacent reads of the same file.
-	m.Disk.Submit("a", 0, 1<<20, false, func() {})
-	m.Disk.Submit("a", 1<<20, 1<<20, false, func() { seqDone = s.Now() })
+	m.Disk.Submit("a", 0, 1<<20, false, callFunc(func() {}))
+	m.Disk.Submit("a", 1<<20, 1<<20, false, callFunc(func() { seqDone = s.Now() }))
 	s.Run()
 
 	m2 := newTestMachine(t)
 	s2 := m2.Sim
-	m2.Disk.Submit("a", 0, 1<<20, false, func() {})
-	m2.Disk.Submit("b", 5<<20, 1<<20, false, func() { randDone = s2.Now() })
+	m2.Disk.Submit("a", 0, 1<<20, false, callFunc(func() {}))
+	m2.Disk.Submit("b", 5<<20, 1<<20, false, callFunc(func() { randDone = s2.Now() }))
 	s2.Run()
 
 	if seqDone >= randDone {
@@ -161,9 +161,9 @@ func TestDiskSequentialFasterThanRandom(t *testing.T) {
 func TestDiskFIFOAndStats(t *testing.T) {
 	m := newTestMachine(t)
 	var order []int
-	m.Disk.Submit("a", 0, 4096, false, func() { order = append(order, 1) })
-	m.Disk.Submit("a", 4096, 4096, true, func() { order = append(order, 2) })
-	m.Disk.Submit("a", 8192, 4096, false, func() { order = append(order, 3) })
+	m.Disk.Submit("a", 0, 4096, false, callFunc(func() { order = append(order, 1) }))
+	m.Disk.Submit("a", 4096, 4096, true, callFunc(func() { order = append(order, 2) }))
+	m.Disk.Submit("a", 8192, 4096, false, callFunc(func() { order = append(order, 3) }))
 	if m.Disk.QueueDelay() <= 0 {
 		t.Fatal("queue delay should be positive with pending requests")
 	}
@@ -186,10 +186,10 @@ func TestDiskTransferTimeScalesWithSize(t *testing.T) {
 	m := newTestMachine(t)
 	m.Disk.JitterRel = 0
 	var t1, t2 sim.Time
-	m.Disk.Submit("a", 0, 1<<20, false, func() { t1 = m.Sim.Now() })
+	m.Disk.Submit("a", 0, 1<<20, false, callFunc(func() { t1 = m.Sim.Now() }))
 	m.Sim.Run()
 	start := m.Sim.Now()
-	m.Disk.Submit("b", 0, 32<<20, false, func() { t2 = m.Sim.Now() - start })
+	m.Disk.Submit("b", 0, 32<<20, false, callFunc(func() { t2 = m.Sim.Now() - start }))
 	m.Sim.Run()
 	// 32 MB at 60 MB/s ≈ 533 ms ≫ 1 MB ≈ 17 ms (plus seek each).
 	if t2 < 20*t1/2 {
@@ -236,7 +236,7 @@ func TestLinkBackpressure(t *testing.T) {
 	}
 }
 
-// callFunc adapts a closure to sim.Caller for the link tests.
+// callFunc adapts a closure to sim.Caller for the disk and link tests.
 type callFunc func()
 
 func (f callFunc) Fire(sim.Time) { f() }

@@ -112,7 +112,7 @@ func TestCancelDropsTransferAndReallocates(t *testing.T) {
 	r := &recorder{}
 	doomed := n.Start(10_000_000, 100*mbps, r) // 80 Mbit
 	n.Start(6_000_000, 100*mbps, r)            // 48 Mbit
-	s.At(sim.Second, "cancel", func() { n.Cancel(doomed) })
+	s.Schedule(sim.Second, "cancel", callFunc(func() { n.Cancel(doomed) }))
 	s.Run()
 	if len(r.done) != 1 {
 		t.Fatalf("%d completions, want 1 (cancelled sink must not fire)", len(r.done))
@@ -139,7 +139,7 @@ func TestLateStartResharesCapacity(t *testing.T) {
 	n := New(s, Config{AggregateBps: 80 * mbps})
 	r := &recorder{}
 	n.Start(2_000_000, 100*mbps, r) // 16 Mbit; alone at 80 Mbps
-	s.At(100*sim.Millisecond, "late", func() { n.Start(10_000_000, 100*mbps, r) })
+	s.Schedule(100*sim.Millisecond, "late", callFunc(func() { n.Start(10_000_000, 100*mbps, r) }))
 	s.Run()
 	// Incumbent: 8 Mbit in the first 100 ms, 8 Mbit left at 40 Mbps.
 	within(t, "incumbent drain", r.done[0].at, 100*sim.Millisecond+sim.FromSeconds(8e6/(40*mbps)))
@@ -170,9 +170,9 @@ func TestDeterministicReplay(t *testing.T) {
 			bytes := int64(500_000 + 250_000*i)
 			link := float64(10+7*i) * mbps
 			at := sim.Time(i) * 300 * sim.Millisecond
-			s.At(at, "start", func() { xfers = append(xfers, n.Start(bytes, link, r)) })
+			s.Schedule(at, "start", callFunc(func() { xfers = append(xfers, n.Start(bytes, link, r)) }))
 		}
-		s.At(time900, "cancel", func() { n.Cancel(xfers[0]) })
+		s.Schedule(time900, "cancel", callFunc(func() { n.Cancel(xfers[0]) }))
 		s.Run()
 		return r.done
 	}
@@ -236,3 +236,8 @@ func TestStartRejectsDegenerateTransfers(t *testing.T) {
 		}()
 	}
 }
+
+// callFunc adapts a closure to sim.Caller for tests.
+type callFunc func()
+
+func (f callFunc) Fire(sim.Time) { f() }

@@ -4,25 +4,9 @@ import "testing"
 
 // The scheduling benchmarks pin the allocation-lean kernel: there is one
 // event type, every event is recycled through the free list and addressed
-// by a generation-checked Handle, and a callback is either a closure
-// (At/After) or a Caller (Schedule/Reschedule). Both flavours amortize to
+// by a generation-checked Handle, and every callback is a Caller that
+// Schedule queues and Reschedule or Rearm move. Scheduling amortizes to
 // zero allocations; run with -benchmem to check.
-
-func BenchmarkAtClosure(b *testing.B) {
-	b.ReportAllocs()
-	s := New()
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			s.After(Second, "tick", tick)
-		}
-	}
-	s.After(Second, "tick", tick)
-	b.ResetTimer()
-	s.Run()
-}
 
 type benchTicker struct {
 	s *Simulator

@@ -7,19 +7,18 @@
 // every experiment in the paper is a ratio of two runs, and reproducible
 // ratios demand bit-identical scheduling decisions for a given seed.
 //
-// The queue holds one event type with one lifecycle. A callback is
-// either a closure (At/After, which the detailed stack's disk and sleep
-// paths still use) or a Caller (Schedule, closure-free, for the fleet's
-// timer arms, the host scheduler's core timers, and the guest network
-// path's recycled NIC frames and ACK and reply timers). Reschedule and
-// Rearm move a pending event in place; Rearm also gives it the next
-// insertion sequence. Cancel takes an event out of the queue at once, so
-// the queue holds only live events. Every event is drawn from a
-// per-simulator free list, recycled the moment it fires or is cancelled,
-// and addressed through the generation-checked Handle its scheduling
-// call returns, so steady-state scheduling allocates nothing — the fleet
-// simulator's event budget (hundreds of millions of events per run)
-// depends on it.
+// The queue holds one event type with one lifecycle. A callback is a
+// Caller scheduled with Schedule: the fleet's timer arms, the host
+// scheduler's core timers and sleeping threads, the guest network path's
+// recycled NIC frames and ACK and reply timers, and the virtual disk's
+// recycled commands. Reschedule and Rearm move a pending event in place;
+// Rearm also gives it the next insertion sequence. Cancel takes an event
+// out of the queue at once, so the queue holds only live events. Every
+// event is drawn from a per-simulator free list, recycled the moment it
+// fires or is cancelled, and addressed through the generation-checked
+// Handle its scheduling call returns, so steady-state scheduling
+// allocates nothing — the fleet simulator's event budget (hundreds of
+// millions of events per run) depends on it.
 //
 // Higher layers (internal/hw, internal/hostos, internal/vmm) are written in
 // event-callback style rather than goroutine-per-process style: goroutine

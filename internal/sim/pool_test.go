@@ -41,42 +41,30 @@ func TestHandleCancelWhileQueued(t *testing.T) {
 }
 
 func TestHandleCancelAfterFireIsNoOp(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		schedule func(s *Simulator, at Time, c *fireCounter) Handle
-	}{
-		{"Schedule", func(s *Simulator, at Time, c *fireCounter) Handle {
-			return s.Schedule(at, "x", c)
-		}},
-		{"At", func(s *Simulator, at Time, c *fireCounter) Handle {
-			return s.At(at, "x", func() { c.Fire(s.Now()) })
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := New()
-			c := &fireCounter{}
-			h := tc.schedule(s, 10, c)
-			s.Run()
-			if len(c.fired) != 1 {
-				t.Fatalf("event fired %d times, want 1", len(c.fired))
-			}
-			// The occurrence fired and its event was recycled; a late
-			// Cancel must be a generation-checked no-op.
-			h.Cancel()
-			if h.Active() {
-				t.Fatal("fired handle reports active")
-			}
-			h2 := tc.schedule(s, 20, c)
-			if h2.e != h.e {
-				t.Fatal("fired event was not recycled by the next schedule")
-			}
-			h.Cancel() // stale handle again, now with h2 holding the reused event
-			s.Run()
-			if len(c.fired) != 2 {
-				t.Fatal("stale Cancel killed a reused event")
-			}
-		})
-	}
+	t.Run("Schedule", func(t *testing.T) {
+		s := New()
+		c := &fireCounter{}
+		h := s.Schedule(10, "x", c)
+		s.Run()
+		if len(c.fired) != 1 {
+			t.Fatalf("event fired %d times, want 1", len(c.fired))
+		}
+		// The occurrence fired and its event was recycled; a late
+		// Cancel must be a generation-checked no-op.
+		h.Cancel()
+		if h.Active() {
+			t.Fatal("fired handle reports active")
+		}
+		h2 := s.Schedule(20, "x", c)
+		if h2.e != h.e {
+			t.Fatal("fired event was not recycled by the next schedule")
+		}
+		h.Cancel() // stale handle again, now with h2 holding the reused event
+		s.Run()
+		if len(c.fired) != 2 {
+			t.Fatal("stale Cancel killed a reused event")
+		}
+	})
 }
 
 // TestPooledEventReuse pins the recycling contract: a fired pooled event

@@ -29,12 +29,6 @@ type Caller interface {
 	Fire(now Time)
 }
 
-// funcCaller adapts the closure of At/After to Caller. A func value is
-// pointer-shaped, so the conversion to the interface allocates nothing.
-type funcCaller func()
-
-func (f funcCaller) Fire(Time) { f() }
-
 // Handle addresses one scheduled occurrence of an event. A Handle stays
 // safe forever: once the occurrence fires or is cancelled, the
 // underlying event is recycled with a bumped generation and the stale
@@ -48,10 +42,7 @@ type Handle struct {
 // Cancel takes the occurrence out of the queue at once, in O(log n), and
 // recycles its event. Cancelling a fired, cancelled, or zero Handle is a
 // no-op — the generation check prevents a stale Handle from cancelling
-// an unrelated occurrence that reused the event. Cancel is kept small
-// enough to inline: the host scheduler cancels every idle core's inert
-// Handle on each transition, and an out-of-line call there cost about 3%
-// of a calibration run's CPU time on a 2-vCPU Xeon.
+// an unrelated occurrence that reused the event.
 func (h Handle) Cancel() {
 	if h.Active() {
 		h.e.sim.remove(int(h.e.index))
@@ -194,19 +185,6 @@ func (s *Simulator) remove(i int) {
 		}
 	}
 	s.release(e)
-}
-
-// At schedules fn to run at absolute virtual time at; see Schedule.
-func (s *Simulator) At(at Time, label string, fn func()) Handle {
-	return s.Schedule(at, label, funcCaller(fn))
-}
-
-// After schedules fn to run delay after the current time.
-func (s *Simulator) After(delay Time, label string, fn func()) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for event %q", delay, label))
-	}
-	return s.At(s.now+delay, label, fn)
 }
 
 // Schedule schedules c.Fire(at) at absolute virtual time at. The event is

@@ -106,9 +106,9 @@ func TestFromDuration(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	s := New()
 	var got []int
-	s.At(30, "c", func() { got = append(got, 3) })
-	s.At(10, "a", func() { got = append(got, 1) })
-	s.At(20, "b", func() { got = append(got, 2) })
+	s.Schedule(30, "c", callerFunc(func(Time) { got = append(got, 3) }))
+	s.Schedule(10, "a", callerFunc(func(Time) { got = append(got, 1) }))
+	s.Schedule(20, "b", callerFunc(func(Time) { got = append(got, 2) }))
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("events fired out of order: %v", got)
@@ -123,7 +123,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(100, "tie", func() { got = append(got, i) })
+		s.Schedule(100, "tie", callerFunc(func(Time) { got = append(got, i) }))
 	}
 	s.Run()
 	if !sort.IntsAreSorted(got) {
@@ -134,10 +134,10 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestScheduleFromCallback(t *testing.T) {
 	s := New()
 	var trace []Time
-	s.At(5, "first", func() {
+	s.Schedule(5, "first", callerFunc(func(Time) {
 		trace = append(trace, s.Now())
-		s.After(7, "second", func() { trace = append(trace, s.Now()) })
-	})
+		s.Schedule(s.Now()+7, "second", callerFunc(func(Time) { trace = append(trace, s.Now()) }))
+	}))
 	s.Run()
 	if len(trace) != 2 || trace[0] != 5 || trace[1] != 12 {
 		t.Fatalf("trace = %v, want [5 12]", trace)
@@ -147,7 +147,7 @@ func TestScheduleFromCallback(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New()
 	fired := false
-	e := s.At(10, "x", func() { fired = true })
+	e := s.Schedule(10, "x", callerFunc(func(Time) { fired = true }))
 	e.Cancel()
 	s.Run()
 	if fired {
@@ -161,8 +161,8 @@ func TestCancel(t *testing.T) {
 func TestCancelFromEarlierEvent(t *testing.T) {
 	s := New()
 	fired := false
-	e := s.At(20, "victim", func() { fired = true })
-	s.At(10, "canceller", func() { e.Cancel() })
+	e := s.Schedule(20, "victim", callerFunc(func(Time) { fired = true }))
+	s.Schedule(10, "canceller", callerFunc(func(Time) { e.Cancel() }))
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled at t=10 still fired at t=20")
@@ -171,24 +171,25 @@ func TestCancelFromEarlierEvent(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(10, "advance", func() {})
+	s.Schedule(10, "advance", callerFunc(func(Time) {}))
 	s.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(5, "past", func() {})
+	s.Schedule(5, "past", callerFunc(func(Time) {}))
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
 	s := New()
+	s.RunUntil(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	s.After(-1, "neg", func() {})
+	s.Schedule(s.Now()-1, "neg", callerFunc(func(Time) {}))
 }
 
 func TestRunUntil(t *testing.T) {
@@ -196,7 +197,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		s.At(at, "e", func() { fired = append(fired, at) })
+		s.Schedule(at, "e", callerFunc(func(Time) { fired = append(fired, at) }))
 	}
 	s.RunUntil(15)
 	if len(fired) != 3 {
@@ -222,8 +223,8 @@ func TestRunUntilAdvancesEmptyClock(t *testing.T) {
 func TestStop(t *testing.T) {
 	s := New()
 	count := 0
-	s.At(1, "a", func() { count++; s.Stop() })
-	s.At(2, "b", func() { count++ })
+	s.Schedule(1, "a", callerFunc(func(Time) { count++; s.Stop() }))
+	s.Schedule(2, "b", callerFunc(func(Time) { count++ }))
 	s.Run()
 	if count != 1 {
 		t.Fatalf("Stop did not halt the loop: count = %d", count)
@@ -237,7 +238,7 @@ func TestStop(t *testing.T) {
 func TestFiredCounterAndPending(t *testing.T) {
 	s := New()
 	for i := Time(1); i <= 5; i++ {
-		s.At(i, "e", func() {})
+		s.Schedule(i, "e", callerFunc(func(Time) {}))
 	}
 	if s.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", s.Pending())
@@ -256,8 +257,8 @@ func TestNextEventTime(t *testing.T) {
 	if _, ok := s.NextEventTime(); ok {
 		t.Fatal("NextEventTime on empty queue reported an event")
 	}
-	e := s.At(9, "x", func() {})
-	s.At(11, "y", func() {})
+	e := s.Schedule(9, "x", callerFunc(func(Time) {}))
+	s.Schedule(11, "y", callerFunc(func(Time) {}))
 	if at, ok := s.NextEventTime(); !ok || at != 9 {
 		t.Fatalf("NextEventTime = %v,%v want 9,true", at, ok)
 	}
@@ -275,7 +276,7 @@ func TestEventOrderProperty(t *testing.T) {
 		var fired []Time
 		for _, d := range delays {
 			at := Time(d)
-			s.At(at, "p", func() { fired = append(fired, at) })
+			s.Schedule(at, "p", callerFunc(func(Time) { fired = append(fired, at) }))
 		}
 		s.Run()
 		for i := 1; i < len(fired); i++ {
@@ -411,18 +412,18 @@ func TestSimulatorDeterminism(t *testing.T) {
 	run := func() (uint64, Time) {
 		s := New()
 		r := NewRNG(11)
-		var rec func()
+		var rec callerFunc
 		n := 0
-		rec = func() {
+		rec = func(now Time) {
 			n++
 			if n < 500 {
-				s.After(Time(r.Intn(1000)+1), "rec", rec)
+				s.Schedule(now+Time(r.Intn(1000)+1), "rec", rec)
 				if n%3 == 0 {
-					s.After(Time(r.Intn(50)), "leaf", func() {})
+					s.Schedule(now+Time(r.Intn(50)), "leaf", callerFunc(func(Time) {}))
 				}
 			}
 		}
-		s.At(0, "start", rec)
+		s.Schedule(0, "start", rec)
 		s.Run()
 		return s.Fired(), s.Now()
 	}
@@ -481,10 +482,9 @@ type callerFunc func(Time)
 func (f callerFunc) Fire(now Time) { f(now) }
 
 // TestResetReusesPooledEvents: after a Reset, scheduling draws from the
-// free list rather than allocating — the arena-reuse contract. It holds
-// for closures too: At/After wrap a preallocated fn without allocating.
-// Each measurement loops inside one AllocsPerRun call, so its count is
-// exact: AllocsPerRun divides by the number of calls and truncates.
+// free list rather than allocating — the arena-reuse contract. The
+// measurement loops inside one AllocsPerRun call, so its count is exact:
+// AllocsPerRun divides by the number of calls and truncates.
 func TestResetReusesPooledEvents(t *testing.T) {
 	const rounds = 10
 	s := New()
@@ -503,15 +503,5 @@ func TestResetReusesPooledEvents(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("%v allocations in %d schedules after Reset, want 0", allocs, rounds)
-	}
-	fn := func() { c.fired++ }
-	allocs = testing.AllocsPerRun(1, func() {
-		for range rounds {
-			s.After(Second, "x", fn)
-			s.Reset()
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("%v allocations in %d Afters after Reset, want 0", allocs, rounds)
 	}
 }

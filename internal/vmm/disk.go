@@ -12,12 +12,16 @@ import (
 // chunk pays the profile's per-command latency and emulation CPU, is
 // translated through the disk image, and finally lands on the host disk.
 // Chunks of one command are serviced strictly in order, as a single
-// emulated IDE/SCSI command queue would.
+// emulated IDE/SCSI command queue would. A command travels its chunks in
+// one recycled diskCmd, so a guest command allocates nothing at steady
+// state.
 type VirtualDisk struct {
 	vm    *VM
 	image Image
 	disk  *hw.Disk
 	s     *sim.Simulator
+
+	free []*diskCmd // recycled commands
 
 	// Stats
 	Commands uint64
@@ -28,23 +32,43 @@ func newVirtualDisk(vm *VM, image Image, disk *hw.Disk) *VirtualDisk {
 	return &VirtualDisk{vm: vm, image: image, disk: disk, s: vm.hostOS.Sim}
 }
 
-// chunks splits a guest request per the profile's DiskChunk limit.
-func (d *VirtualDisk) chunks(off, bytes int64) [][2]int64 {
-	limit := d.vm.Prof.DiskChunk
-	if limit <= 0 {
-		return [][2]int64{{off, bytes}}
-	}
-	var out [][2]int64
-	for bytes > 0 {
-		n := bytes
-		if n > limit {
-			n = limit
+// diskCmd carries one guest command through its chunks. It is the
+// sim.Caller of each chunk's emulation delay and of each of the chunk's
+// host-disk completions.
+type diskCmd struct {
+	d          *VirtualDisk
+	off, bytes int64 // the part of the command no chunk has covered yet
+	write      bool
+	done       func()
+	ext        []Extent // the current chunk's host extents
+	onDisk     int      // how many of ext are still on the host disk
+}
+
+// Fire implements sim.Caller: the chunk's emulation delay ended, or one
+// of its extents landed.
+func (c *diskCmd) Fire(sim.Time) {
+	if c.onDisk == 0 {
+		// Emulated: the chunk's extents go to the host disk in order.
+		c.onDisk = len(c.ext)
+		for _, e := range c.ext {
+			c.d.disk.Submit(e.FileID, e.HostOff, e.Bytes, c.write, c)
 		}
-		out = append(out, [2]int64{off, n})
-		off += n
-		bytes -= n
+		return
 	}
-	return out
+	c.onDisk--
+	if c.onDisk > 0 {
+		return
+	}
+	if c.bytes > 0 {
+		c.d.startChunk(c)
+		return
+	}
+	// The command goes back to the pool first, because done may submit
+	// again and take it.
+	done := c.done
+	c.done = nil
+	c.d.free = append(c.d.free, c)
+	done()
 }
 
 // ReadBlocks implements guestos.BlockDevice.
@@ -62,31 +86,33 @@ func (d *VirtualDisk) submit(off, bytes int64, write bool, done func()) {
 		panic(fmt.Sprintf("vmm: virtual disk request of %d bytes", bytes))
 	}
 	d.Commands++
-	chunks := d.chunks(off, bytes)
-	d.Chunks += uint64(len(chunks))
-
-	// Service chunks sequentially; each pays emulation latency + CPU, then
-	// the image translation, then the physical transfer.
-	var runChunk func(i int)
-	runChunk = func(i int) {
-		if i == len(chunks) {
-			done()
-			return
-		}
-		c := chunks[i]
-		d.vm.chargeEmulation(d.vm.Prof.DiskCPUPerOp + d.image.TranslateCost())
-		extents := d.image.Translate(c[0], c[1], write)
-		d.s.After(d.vm.Prof.DiskPerOp, "vdisk-emu", func() {
-			remaining := len(extents)
-			for _, e := range extents {
-				d.disk.Submit(e.FileID, e.HostOff, e.Bytes, write, func() {
-					remaining--
-					if remaining == 0 {
-						runChunk(i + 1)
-					}
-				})
-			}
-		})
+	if limit := d.vm.Prof.DiskChunk; limit > 0 {
+		d.Chunks += uint64((bytes + limit - 1) / limit)
+	} else {
+		d.Chunks++
 	}
-	runChunk(0)
+	var c *diskCmd
+	if k := len(d.free); k > 0 {
+		c = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		c = &diskCmd{d: d}
+	}
+	c.off, c.bytes, c.write, c.done = off, bytes, write, done
+	d.startChunk(c)
+}
+
+// startChunk starts c's next chunk, at most the profile's DiskChunk
+// bytes: it pays the emulation CPU, is translated through the image, and
+// waits out the per-command latency before it reaches the host disk.
+func (d *VirtualDisk) startChunk(c *diskCmd) {
+	n := c.bytes
+	if limit := d.vm.Prof.DiskChunk; limit > 0 && n > limit {
+		n = limit
+	}
+	d.vm.chargeEmulation(d.vm.Prof.DiskCPUPerOp + d.image.TranslateCost())
+	c.ext = d.image.Translate(c.ext[:0], c.off, n, c.write)
+	c.off += n
+	c.bytes -= n
+	d.s.Schedule(d.s.Now()+d.vm.Prof.DiskPerOp, "vdisk-emu", c)
 }

@@ -105,8 +105,8 @@ func TestTwoVMsShareBaseImageViaCOW(t *testing.T) {
 	}
 	// The overlays are independent: same guest offsets, disjoint host
 	// extents.
-	extA := cowA.Translate(0, 4096, false)
-	extB := cowB.Translate(0, 4096, false)
+	extA := cowA.Translate(nil, 0, 4096, false)
+	extB := cowB.Translate(nil, 0, 4096, false)
 	if extA[0].FileID == extB[0].FileID {
 		t.Fatalf("overlay writes collided in %q", extA[0].FileID)
 	}

@@ -11,10 +11,12 @@ import (
 // images — the flexibility-vs-performance trade-off Csaba et al. accept
 // for QEMU's overlay images (§5).
 type Image interface {
-	// Translate maps a guest extent to one or more host extents. A write
-	// may allocate (COW); reads of unallocated overlay blocks fall through
-	// to the base image.
-	Translate(off, bytes int64, write bool) []Extent
+	// Translate maps a guest extent to one or more host extents, appends
+	// them to dst and returns the result, so a caller that passes the
+	// same buffer each time allocates nothing once it has grown. A write
+	// may allocate (COW); reads of unallocated overlay blocks fall
+	// through to the base image.
+	Translate(dst []Extent, off, bytes int64, write bool) []Extent
 	// TranslateCost is the host-cycle cost of one Translate call.
 	TranslateCost() float64
 	// SizeBytes is the virtual disk capacity.
@@ -47,11 +49,11 @@ func NewRawImage(name string, base, size int64) *RawImage {
 }
 
 // Translate implements Image.
-func (r *RawImage) Translate(off, bytes int64, _ bool) []Extent {
+func (r *RawImage) Translate(dst []Extent, off, bytes int64, _ bool) []Extent {
 	if off < 0 || off+bytes > r.Size {
 		panic(fmt.Sprintf("vmm: raw image access [%d,%d) outside size %d", off, off+bytes, r.Size))
 	}
-	return []Extent{{HostOff: r.Base + off, Bytes: bytes, FileID: r.Name}}
+	return append(dst, Extent{HostOff: r.Base + off, Bytes: bytes, FileID: r.Name})
 }
 
 // TranslateCost implements Image: a raw offset add is nearly free.
@@ -94,12 +96,12 @@ func NewCOWImage(name string, base Image, overlayBase int64) *COWImage {
 	}
 }
 
-// Translate implements Image.
-func (c *COWImage) Translate(off, bytes int64, write bool) []Extent {
+// Translate implements Image. It coalesces only the extents it appends.
+func (c *COWImage) Translate(dst []Extent, off, bytes int64, write bool) []Extent {
 	if off < 0 || off+bytes > c.SizeBytes() {
 		panic(fmt.Sprintf("vmm: cow image access [%d,%d) outside size %d", off, off+bytes, c.SizeBytes()))
 	}
-	var out []Extent
+	start, out := len(dst), dst
 	for bytes > 0 {
 		cluster := off / cowClusterSize
 		inOff := off % cowClusterSize
@@ -121,12 +123,12 @@ func (c *COWImage) Translate(off, bytes int64, write bool) []Extent {
 			out = append(out, Extent{HostOff: c.overlayBase + hostOff + inOff, Bytes: n, FileID: c.Name})
 		default:
 			// Read of an unwritten cluster: serve from the base image.
-			out = append(out, c.Base.Translate(off, n, false)...)
+			out = c.Base.Translate(out, off, n, false)
 		}
 		off += n
 		bytes -= n
 	}
-	return coalesceExtents(out)
+	return out[:start+len(coalesceExtents(out[start:]))]
 }
 
 // TranslateCost implements Image: map lookups and allocation logic.

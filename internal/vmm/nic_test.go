@@ -13,15 +13,15 @@ import (
 	"vmdg/internal/vmm/profiles"
 )
 
-// testVM builds an unpowered VM under prof on a fresh default machine.
-func testVM(tb testing.TB, prof vmm.Profile) (*hostos.OS, *vmm.VM) {
+// testVM builds an unpowered VM of cfg on a fresh default machine.
+func testVM(tb testing.TB, cfg vmm.Config) (*hostos.OS, *vmm.VM) {
 	tb.Helper()
 	m, err := hw.NewMachine(sim.New(), hw.Config{Seed: 5})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	host := hostos.Boot(m)
-	vm, err := vmm.New(host, vmm.Config{Prof: prof})
+	vm, err := vmm.New(host, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func testVM(tb testing.TB, prof vmm.Profile) (*hostos.OS, *vmm.VM) {
 // the frame pool and the event free list reach steady state.
 func streamVM(tb testing.TB, prof vmm.Profile, prog cost.Program) (*hostos.OS, *guestos.TCPConn) {
 	tb.Helper()
-	host, vm := testVM(tb, prof)
+	host, vm := testVM(tb, vmm.Config{Prof: prof})
 	conn := vm.Kernel.Net.Dial(netbench.ConnID)
 	vm.SpawnGuest("iperf", prog)
 	vm.PowerOn(hostos.PrioNormal)
@@ -50,9 +50,7 @@ const windows = 20
 // guest stack, the virtual NIC's queues and the links as values in
 // recycled frames, so a steady stream allocates nothing, bridged or
 // through the NAT proxy. Each window is long enough for ACKs to arrive:
-// the NAT stream acks its 64 KB window in bursts about 140 ms apart. The
-// VMM's service thread is switched off, because its duty cycle sleeps
-// through a closure that is not part of the network path.
+// the NAT stream acks its 64 KB window in bursts about 140 ms apart.
 func TestTCPStreamAllocatesNothing(t *testing.T) {
 	for _, c := range []struct {
 		prof   vmm.Profile
@@ -64,7 +62,6 @@ func TestTCPStreamAllocatesNothing(t *testing.T) {
 		{profiles.QEMU(), 10 * sim.Millisecond},
 	} {
 		t.Run(c.prof.Name, func(t *testing.T) {
-			c.prof.ServiceDuty = 0
 			host, conn := streamVM(t, c.prof, netbench.Profile(64<<20).Iter())
 			stalled := 0
 			allocs := testing.AllocsPerRun(1, func() {
@@ -86,6 +83,33 @@ func TestTCPStreamAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestGuestSleepAllocatesNothing: a guest sleep ends through a pointer
+// alias of the guest thread, and the VMM's service thread sleeps through
+// one of its host thread, so a guest looping compute and a 2 ms sleep
+// allocates nothing with the service thread on.
+func TestGuestSleepAllocatesNothing(t *testing.T) {
+	host, vm := testVM(t, vmm.Config{Prof: profiles.VMwarePlayer()})
+	vm.SpawnGuest("sleeper", cost.Loop(&cost.Profile{Name: "sleeper", Steps: []cost.Step{
+		{Kind: cost.StepCompute, Cycles: 1e6, Mix: cost.Mix{Int: 1}},
+		{Kind: cost.StepSleep, Dur: 2 * sim.Millisecond},
+	}}))
+	vm.PowerOn(hostos.PrioNormal)
+	host.RunFor(200 * sim.Millisecond)
+
+	interrupts := vm.Kernel.Interrupts
+	allocs := testing.AllocsPerRun(1, func() {
+		for range windows {
+			host.RunFor(100 * sim.Millisecond)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations in %d windows of 100 ms of a sleeping guest, want 0", allocs, windows)
+	}
+	if vm.Kernel.Interrupts == interrupts {
+		t.Fatal("no guest sleep ended")
+	}
+}
+
 // flood sends a maximal datagram every interval from outside the guest,
 // so no guest sleep or vCPU step is measured with the NIC path.
 type flood struct {
@@ -103,7 +127,7 @@ func (f *flood) Fire(now sim.Time) {
 // proxy serves them fill its queue, and neither a delivered nor a
 // dropped datagram allocates.
 func TestUDPFloodAllocatesNothing(t *testing.T) {
-	host, vm := testVM(t, profiles.VMwarePlayerNAT())
+	host, vm := testVM(t, vmm.Config{Prof: profiles.VMwarePlayerNAT()})
 	sock := vm.Kernel.Net.OpenUDP(netbench.ConnID)
 	sock.Sink = func(guestos.Datagram) {}
 	f := &flood{s: host.Sim, sock: sock, every: 200 * sim.Microsecond}
@@ -128,12 +152,9 @@ func TestUDPFloodAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkTCPStream times the guest network path: one op is 10 ms of
-// virtual time of a bridged VMware Player stream that never ends, with
-// the service thread switched off as in TestTCPStreamAllocatesNothing.
+// virtual time of a bridged VMware Player stream that never ends.
 func BenchmarkTCPStream(b *testing.B) {
-	prof := profiles.VMwarePlayer()
-	prof.ServiceDuty = 0
-	host, _ := streamVM(b, prof, cost.Loop(netbench.Profile(netbench.StreamBytes)))
+	host, _ := streamVM(b, profiles.VMwarePlayer(), cost.Loop(netbench.Profile(netbench.StreamBytes)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

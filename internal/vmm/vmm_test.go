@@ -109,7 +109,7 @@ func TestExpandStepMonotoneProperty(t *testing.T) {
 
 func TestRawImageTranslate(t *testing.T) {
 	img := NewRawImage("base", 1000, 1<<20)
-	ext := img.Translate(4096, 8192, false)
+	ext := img.Translate(nil, 4096, 8192, false)
 	if len(ext) != 1 || ext[0].HostOff != 1000+4096 || ext[0].Bytes != 8192 {
 		t.Fatalf("raw translate = %+v", ext)
 	}
@@ -125,7 +125,7 @@ func TestRawImageOutOfRangePanics(t *testing.T) {
 			t.Fatal("no panic on out-of-range access")
 		}
 	}()
-	img.Translate(0, 8192, false)
+	img.Translate(nil, 0, 8192, false)
 }
 
 func TestCOWImageReadThroughAndWriteAllocation(t *testing.T) {
@@ -133,12 +133,12 @@ func TestCOWImageReadThroughAndWriteAllocation(t *testing.T) {
 	cow := NewCOWImage("ovl", base, 10<<20)
 
 	// Unwritten read: falls through to the base image.
-	ext := cow.Translate(0, 4096, false)
+	ext := cow.Translate(nil, 0, 4096, false)
 	if len(ext) != 1 || ext[0].FileID != "base" {
 		t.Fatalf("unwritten read = %+v", ext)
 	}
 	// Write: allocates in the overlay.
-	ext = cow.Translate(0, 4096, true)
+	ext = cow.Translate(nil, 0, 4096, true)
 	if len(ext) != 1 || ext[0].FileID != "ovl" {
 		t.Fatalf("write = %+v", ext)
 	}
@@ -146,12 +146,12 @@ func TestCOWImageReadThroughAndWriteAllocation(t *testing.T) {
 		t.Fatalf("allocation bookkeeping: %d clusters", cow.AllocatedClusters)
 	}
 	// Subsequent read of the written range: served by the overlay.
-	ext = cow.Translate(0, 4096, false)
+	ext = cow.Translate(nil, 0, 4096, false)
 	if ext[0].FileID != "ovl" {
 		t.Fatalf("read-after-write = %+v", ext)
 	}
 	// A read crossing written and unwritten clusters splits.
-	ext = cow.Translate(cowClusterSize-4096, 8192, false)
+	ext = cow.Translate(nil, cowClusterSize-4096, 8192, false)
 	if len(ext) != 2 || ext[0].FileID != "ovl" || ext[1].FileID != "base" {
 		t.Fatalf("boundary read = %+v", ext)
 	}
@@ -160,8 +160,8 @@ func TestCOWImageReadThroughAndWriteAllocation(t *testing.T) {
 func TestCOWImageTableRoundTrip(t *testing.T) {
 	base := NewRawImage("base", 0, 1<<20)
 	cow := NewCOWImage("ovl", base, 0)
-	cow.Translate(0, 4096, true)
-	cow.Translate(3*cowClusterSize, 4096, true)
+	cow.Translate(nil, 0, 4096, true)
+	cow.Translate(nil, 3*cowClusterSize, 4096, true)
 	table := cow.OverlayTable()
 	if len(table) != 2 {
 		t.Fatalf("table = %v", table)
@@ -169,12 +169,12 @@ func TestCOWImageTableRoundTrip(t *testing.T) {
 	cow2 := NewCOWImage("ovl", base, 0)
 	cow2.RestoreOverlayTable(table)
 	for _, off := range []int64{0, 3 * cowClusterSize} {
-		if ext := cow2.Translate(off, 4096, false); ext[0].FileID != "ovl" {
+		if ext := cow2.Translate(nil, off, 4096, false); ext[0].FileID != "ovl" {
 			t.Fatalf("restored cluster at %d not in overlay", off)
 		}
 	}
 	// New allocations must not collide with restored ones.
-	cow2.Translate(5*cowClusterSize, 4096, true)
+	cow2.Translate(nil, 5*cowClusterSize, 4096, true)
 	seen := map[int64]bool{}
 	for _, kv := range cow2.OverlayTable() {
 		if seen[kv[1]] {
@@ -194,7 +194,7 @@ func TestCOWTranslateCoversRequestProperty(t *testing.T) {
 			n = 8<<20 - off
 		}
 		var total int64
-		for _, e := range cow.Translate(off, n, write) {
+		for _, e := range cow.Translate(nil, off, n, write) {
 			if e.Bytes <= 0 {
 				return false
 			}
