@@ -199,16 +199,14 @@ func TestWorkerStepStream(t *testing.T) {
 func TestWorkerCountsUnits(t *testing.T) {
 	wu := WorkUnit{ID: "t", Seed: 1, Chunks: 5, CheckpointEvery: 0}
 	w := NewWorker(Progress{WorkUnit: wu})
-	var done []Progress
-	w.OnUnitDone = func(p Progress) { done = append(done, p) }
 	for i := 0; i < 5*3; i++ {
 		w.Next()
 	}
 	if w.UnitsDone() != 3 {
 		t.Fatalf("units done = %d, want 3", w.UnitsDone())
 	}
-	if len(done) != 3 {
-		t.Fatalf("callbacks = %d", len(done))
+	if w.State.WorkUnit.Seed != 4 || w.State.ChunksDone != 0 {
+		t.Fatalf("after 3 units the worker holds %+v, want a fresh unit with seed 4", w.State)
 	}
 }
 

@@ -56,10 +56,9 @@ type Worker struct {
 	// State is exported for checkpoint capture; treat as read-only.
 	State Progress
 
-	perChunk   cost.Counts
-	stage      int // 0: compute next chunk, 1: checkpoint write, 2: fsync
-	unitsDone  int
-	OnUnitDone func(Progress) // optional notification per completed unit
+	perChunk  cost.Counts
+	stage     int // 0: compute next chunk, 1: checkpoint write, 2: fsync
+	unitsDone int
 }
 
 // NewWorker starts (or resumes) a worker on the given progress.
@@ -95,9 +94,6 @@ func (w *Worker) Next() (cost.Step, bool) {
 	w.State.ChunksDone++
 	if w.State.ChunksDone >= w.WorkUnitChunks() {
 		w.unitsDone++
-		if w.OnUnitDone != nil {
-			w.OnUnitDone(w.State)
-		}
 		// Fetch the next unit: new seed, progress reset.
 		w.State.WorkUnit.Seed++
 		w.State.ChunksDone = 0

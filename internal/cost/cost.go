@@ -54,18 +54,6 @@ func (m Mix) String() string {
 	return fmt.Sprintf("mix{int:%.2f fp:%.2f mem:%.2f krn:%.2f}", m.Int, m.FP, m.Mem, m.Kernel)
 }
 
-// approxEqual reports whether two mixes agree within eps per component.
-func (m Mix) approxEqual(o Mix, eps float64) bool {
-	abs := func(x float64) float64 {
-		if x < 0 {
-			return -x
-		}
-		return x
-	}
-	return abs(m.Int-o.Int) < eps && abs(m.FP-o.FP) < eps &&
-		abs(m.Mem-o.Mem) < eps && abs(m.Kernel-o.Kernel) < eps
-}
-
 // Counts is the raw operation tally a benchmark accumulates while running.
 type Counts struct {
 	IntOps    uint64 // integer ALU operations

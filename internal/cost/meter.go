@@ -4,36 +4,30 @@ import "vmdg/internal/sim"
 
 // Meter captures the operation stream of a real benchmark run into a
 // Profile. Benchmark code calls the counting methods as it executes its
-// actual algorithm; adjacent compute work with a similar mix is coalesced
-// into a single step to keep profiles compact (a full 7z benchmark pass
-// collapses to a few hundred steps instead of millions).
+// actual algorithm. Compute work accumulates into one step, whatever its
+// mix, and a step is cut only at maxStepCycles and before each I/O,
+// sleep, clock or drop-caches step, which keeps profiles compact (a full
+// 7z benchmark pass collapses to a few hundred steps instead of
+// millions).
 type Meter struct {
 	name    string
 	steps   []Step
 	pending Counts // compute ops not yet flushed into a step
-
-	// coalesceEps bounds how much the pending mix may drift from the
-	// incoming mix before a new step is cut.
-	coalesceEps float64
-	// maxStepCycles caps step granularity so schedulers can preempt
-	// replayed programs mid-phase with realistic quantum resolution.
-	maxStepCycles float64
 }
+
+// maxStepCycles caps step granularity so schedulers can preempt replayed
+// programs mid-phase with realistic quantum resolution: ~20 ms at 2.4 GHz,
+// finer than any quantum.
+const maxStepCycles = 50e6
 
 // NewMeter returns a Meter for a benchmark with the given name.
-func NewMeter(name string) *Meter {
-	return &Meter{
-		name:          name,
-		coalesceEps:   0.05,
-		maxStepCycles: 50e6, // ~20 ms at 2.4 GHz: finer than any quantum
-	}
-}
+func NewMeter(name string) *Meter { return &Meter{name: name} }
 
 // Ops records a raw operation tally (the common path for instrumented
 // algorithm kernels).
 func (m *Meter) Ops(c Counts) {
 	m.pending.Add(c)
-	if m.pending.Cycles() >= m.maxStepCycles {
+	if m.pending.Cycles() >= maxStepCycles {
 		m.flush()
 	}
 }
@@ -60,8 +54,8 @@ func (m *Meter) flush() {
 	mix := m.pending.Mix()
 	for cycles > 0 {
 		c := cycles
-		if c > m.maxStepCycles {
-			c = m.maxStepCycles
+		if c > maxStepCycles {
+			c = maxStepCycles
 		}
 		m.steps = append(m.steps, Step{Kind: StepCompute, Cycles: c, Mix: mix})
 		cycles -= c

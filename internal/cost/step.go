@@ -22,8 +22,7 @@ const (
 	StepSleep
 	StepClock
 	// StepHalt parks the executing CPU until an external wake (a device
-	// interrupt). Guest kernels emit it from their idle loop; it is only
-	// meaningful under a handler that knows who will deliver the wake.
+	// interrupt). Guest kernels emit it from their idle loop.
 	StepHalt
 	// StepDropCaches discards clean page-cache contents (the
 	// `drop_caches` administrative action I/O benchmarks take between
@@ -167,9 +166,6 @@ func (it *Iterator) Next() (Step, bool) {
 	it.pos++
 	return s, true
 }
-
-// Remaining reports how many steps are left, used by schedulers for traces.
-func (it *Iterator) Remaining() int { return len(it.profile.Steps) - it.pos }
 
 // LoopProgram replays a profile forever — the shape of a BOINC worker that
 // always has another work unit. It never returns ok=false.

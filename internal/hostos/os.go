@@ -22,10 +22,10 @@ type coreState struct {
 	t     *Thread
 	event sim.Handle // pending step-done-or-quantum event
 	timer coreTimer  // event's Caller
-	// parked holds a thread displaced by a hinted preemption: the
-	// preemptor borrows this core's slot and the parked thread resumes
-	// here as soon as the core frees, without re-entering the ready
-	// queues (VMM service work runs in its VM's scheduling context).
+	// parked holds a Victim that lent this core to a higher-priority
+	// thread: the borrower takes the core's slot and the parked thread
+	// resumes here as soon as the core frees, without re-entering the
+	// ready queues (VMM service work runs in its VM's scheduling context).
 	parked *Thread
 }
 
@@ -84,17 +84,10 @@ func (o *OS) NewProcess(name string) *Process {
 // Spawn creates a thread in process p running prog at priority prio and
 // makes it immediately runnable.
 func (o *OS) Spawn(p *Process, name string, prio Priority, prog cost.Program) *Thread {
-	return o.SpawnWithHandler(p, name, prio, prog, nil)
-}
-
-// SpawnWithHandler is Spawn with a custom StepHandler attached before the
-// program's first step executes (required for programs whose very first
-// step needs the handler, e.g. network benchmarks).
-func (o *OS) SpawnWithHandler(p *Process, name string, prio Priority, prog cost.Program, h StepHandler) *Thread {
 	if !prio.Valid() {
 		panic(fmt.Sprintf("hostos: invalid priority %d", int(prio)))
 	}
-	t := &Thread{Name: name, Prio: prio, Proc: p, os: o, prog: prog, state: stateReady, Handler: h}
+	t := &Thread{Name: name, Prio: prio, Proc: p, os: o, prog: prog, state: stateReady}
 	p.Threads = append(p.Threads, t)
 	o.transition(func() {
 		if !o.advance(t) {
@@ -274,22 +267,16 @@ func (o *OS) advance(t *Thread) bool {
 			t.mix = step.Mix
 			return true
 		}
-		if t.Handler != nil {
-			if t.Handler.Handle(t, step) {
-				t.state = stateBlocked
-				return false
-			}
-			continue
-		}
-		if o.defaultHandle(t, step) {
+		if o.handle(t, step) {
 			t.state = stateBlocked
 			return false
 		}
 	}
 }
 
-// defaultHandle services steps every host thread supports natively.
-func (o *OS) defaultHandle(t *Thread, step cost.Step) (blocked bool) {
+// handle services a non-compute step. It reports whether the thread
+// blocks; whoever owns the wake-up then calls Unblock exactly once.
+func (o *OS) handle(t *Thread, step cost.Step) (blocked bool) {
 	switch step.Kind {
 	case cost.StepDiskRead:
 		o.M.Disk.Submit(step.File, step.Offset, step.Bytes, false, (*threadWake)(t))
@@ -300,10 +287,12 @@ func (o *OS) defaultHandle(t *Thread, step cost.Step) (blocked bool) {
 	case cost.StepSleep:
 		o.Sim.Schedule(o.Sim.Now()+step.Dur, "sleep-wake", (*threadWake)(t))
 		return true
+	case cost.StepHalt:
+		return true // parked until the owner of the wake calls Unblock
 	case cost.StepClock:
 		return false // host clock reads are exact and instantaneous here
 	default:
-		panic(fmt.Sprintf("hostos: thread %s issued %v with no handler attached", t.Name, step.Kind))
+		panic(fmt.Sprintf("hostos: thread %s issued %v, which a host thread cannot take", t.Name, step.Kind))
 	}
 }
 
@@ -316,12 +305,11 @@ func (o *OS) makeReady(t *Thread) {
 			return
 		}
 	}
-	// A victim hint borrows the named core when it is preemptible: the
-	// displaced thread parks on the core and resumes there when it frees.
-	if t.VictimHint != nil {
-		if c := t.VictimHint(); c >= 0 && c < len(o.cores) && t.allowedOn(c) &&
-			o.cores[c].t != nil && o.cores[c].t.Prio < t.Prio && o.cores[c].parked == nil {
-			v := o.cores[c].t
+	// A running Victim lends its core when it is preemptible: it parks
+	// on the core and resumes there when the core frees.
+	if v := t.Victim; v != nil && v.Running() {
+		if c := v.core; t.allowedOn(c) && o.cores[c].t != nil &&
+			o.cores[c].t.Prio < t.Prio && o.cores[c].parked == nil {
 			o.undispatch(c, true)
 			v.state = stateReady
 			o.cores[c].parked = v
@@ -390,10 +378,10 @@ func (o *OS) undispatch(core int, preempt bool) {
 }
 
 // fillCore dispatches the highest-priority ready thread onto a free core.
-// A thread parked by a hinted preemption reclaims its core first — ahead
-// of its own priority queue, but not past strictly higher-priority ready
-// work: on a single-core machine an idle-priority vCPU parked by its VMM
-// service thread would otherwise monopolize the core while the owner's
+// A Victim parked on the core reclaims it first — ahead of its own
+// priority queue, but not past strictly higher-priority ready work: on a
+// single-core machine an idle-priority vCPU parked by its VMM service
+// thread would otherwise monopolize the core while the owner's
 // normal-priority work starved in the ready queue.
 func (o *OS) fillCore(core int) {
 	if o.cores[core].t != nil {

@@ -234,27 +234,29 @@ func TestClockStepSynchronous(t *testing.T) {
 	}
 }
 
-func TestCustomHandler(t *testing.T) {
+// TestHaltParksUntilUnblock: a halt step blocks the thread with nothing
+// pending until its owner calls Unblock; the program then goes on.
+func TestHaltParksUntilUnblock(t *testing.T) {
 	o := newOS(t)
 	p := o.NewProcess("h")
-	m := cost.NewMeter("h")
-	m.NetSend(1, 1000)
-	var sawSend bool
-	handler := StepHandlerFunc(func(tt *Thread, s cost.Step) bool {
-		if s.Kind == cost.StepNetSend {
-			sawSend = true
-			o.Sim.Schedule(o.Sim.Now()+sim.Millisecond, "net-done", callFunc(func() { o.Unblock(tt) }))
-			return true
-		}
-		return false
-	})
-	th := o.SpawnWithHandler(p, "h", PrioNormal, m.Profile().Iter(), handler)
-	o.Sim.Run()
-	if !th.Finished() {
-		t.Fatal("handler thread did not finish")
+	prof := &cost.Profile{Name: "h", Steps: []cost.Step{
+		{Kind: cost.StepHalt},
+		{Kind: cost.StepCompute, Cycles: 2.4e6, Mix: cost.Mix{Int: 1}}, // 1 ms
+	}}
+	var end sim.Time
+	th := o.Spawn(p, "h", PrioNormal, prof.Iter())
+	th.OnExit = func() { end = o.Sim.Now() }
+	o.RunFor(10 * sim.Millisecond)
+	if !th.Blocked() {
+		t.Fatalf("halted thread is %v", th)
 	}
-	if !sawSend {
-		t.Fatal("handler never saw the net step")
+	if at, ok := o.Sim.NextEventTime(); ok {
+		t.Fatalf("halted thread left an event pending at %v", at)
+	}
+	o.Unblock(th)
+	o.Sim.Run()
+	if end != 11*sim.Millisecond {
+		t.Fatalf("thread finished at %v, want 11ms", end)
 	}
 }
 

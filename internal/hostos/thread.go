@@ -26,11 +26,6 @@ type Thread struct {
 	Prio Priority
 	Proc *Process
 
-	// Handler, if non-nil, services non-compute steps the default handler
-	// cannot (network steps, guest clock reads). It is consulted first for
-	// every non-compute step.
-	Handler StepHandler
-
 	// OnExit fires when the program ends.
 	OnExit func()
 
@@ -40,13 +35,16 @@ type Thread struct {
 	// subset of the machine.
 	Affinity uint64
 
-	// VictimHint, if set, nominates the core this thread should preempt
-	// when it wakes and no core is idle (-1 for no preference). VMM
-	// service threads point it at their vCPU's core: device emulation and
-	// timer work displace the VM they serve, not an unrelated process —
-	// unless the vCPU is itself starved, in which case the work lands
-	// wherever the scheduler can place it (the Figure 7 mechanism).
-	VictimHint func() int
+	// Victim, if set, lends this thread its core. When this thread
+	// becomes ready and no core is idle, a running Victim of lower
+	// priority parks on its core, unless the core already holds a parked
+	// thread or Affinity excludes it, and resumes there once this thread
+	// leaves the core. A VMM service thread names its vCPU, so device
+	// emulation and timer work displace the VM they serve, not an
+	// unrelated process — unless the vCPU is itself starved, in which
+	// case the work lands wherever the scheduler can place it (the
+	// Figure 7 mechanism).
+	Victim *Thread
 
 	os    *OS
 	prog  cost.Program
@@ -154,18 +152,3 @@ func (p *Process) Finished() bool {
 	}
 	return true
 }
-
-// StepHandler services non-compute steps on behalf of a thread. Handle
-// returns true if the thread must block; in that case the handler (or the
-// subsystem it delegated to) is responsible for calling OS.Unblock(t)
-// exactly once when the operation completes. Returning false means the
-// step completed synchronously and execution continues.
-type StepHandler interface {
-	Handle(t *Thread, s cost.Step) (blocked bool)
-}
-
-// StepHandlerFunc adapts a function to the StepHandler interface.
-type StepHandlerFunc func(t *Thread, s cost.Step) bool
-
-// Handle implements StepHandler.
-func (f StepHandlerFunc) Handle(t *Thread, s cost.Step) bool { return f(t, s) }

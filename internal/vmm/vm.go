@@ -35,7 +35,10 @@ type VM struct {
 	NIC   *VirtualNIC
 	Image Image
 
-	vcpu        *hostos.Thread
+	vcpu *hostos.Thread
+	// halted is true while the vCPU is parked on a halt step taken at
+	// haltStart; wakeVCPU and PowerOff unblock it and add the span to
+	// haltedTotal.
 	halted      bool
 	haltStart   sim.Time
 	haltedTotal sim.Time
@@ -53,12 +56,9 @@ type VM struct {
 type Config struct {
 	Name string
 	Prof Profile
-	// Image backs the virtual disk; nil allocates a raw image at ImageBase.
+	// Image backs the virtual disk; nil allocates a raw image at host-disk
+	// offset 0.
 	Image Image
-	// ImageBase places the default raw image on the host disk.
-	ImageBase int64
-	// CacheBytes overrides the guest page-cache size.
-	CacheBytes int64
 	// Affinity, if non-zero, confines the VM's threads (vCPU and service)
 	// to the given core mask — how a volunteer caps a VM's footprint.
 	Affinity uint64
@@ -82,16 +82,15 @@ func New(host *hostos.OS, cfg Config) (*VM, error) {
 	}
 	vm.Image = cfg.Image
 	if vm.Image == nil {
-		vm.Image = NewRawImage(cfg.Name+".img", cfg.ImageBase, defaultImageSize)
+		vm.Image = NewRawImage(cfg.Name+".img", 0, defaultImageSize)
 	}
 	vm.Disk = newVirtualDisk(vm, vm.Image, host.M.Disk)
 	vm.NIC = newVirtualNIC(vm, host.M.TX, host.M.RX)
 	vm.Kernel = guestos.NewKernel(guestos.KernelConfig{
-		Sim:        host.Sim,
-		Disk:       vm.Disk,
-		NIC:        vm.NIC,
-		Clock:      vm,
-		CacheBytes: cfg.CacheBytes,
+		Sim:   host.Sim,
+		Disk:  vm.Disk,
+		NIC:   vm.NIC,
+		Clock: vm,
 	})
 	return vm, nil
 }
@@ -133,25 +132,15 @@ func (p *vcpuProgram) Next() (cost.Step, bool) {
 		case cost.StepCompute:
 			return vm.Prof.ExpandStep(st), true
 		case cost.StepHalt:
+			// hostos parks the vCPU on this step until wakeVCPU or
+			// PowerOff unblocks it.
+			vm.halted = true
+			vm.haltStart = vm.hostOS.Sim.Now()
 			return st, true
 		default:
 			panic(fmt.Sprintf("vmm: guest kernel leaked raw step %v", st.Kind))
 		}
 	}
-}
-
-// vcpuHandler services the halt step by parking the vCPU host thread.
-type vcpuHandler struct{ vm *VM }
-
-// Handle implements hostos.StepHandler.
-func (h vcpuHandler) Handle(t *hostos.Thread, s cost.Step) bool {
-	if s.Kind != cost.StepHalt {
-		panic(fmt.Sprintf("vmm: vCPU handler got %v", s.Kind))
-	}
-	vm := h.vm
-	vm.halted = true
-	vm.haltStart = vm.hostOS.Sim.Now()
-	return true
 }
 
 // PowerOn starts the vCPU at the given host priority (the paper tests
@@ -165,8 +154,7 @@ func (vm *VM) PowerOn(prio hostos.Priority) {
 	vm.startTime = vm.hostOS.Sim.Now()
 	vm.Proc = vm.hostOS.NewProcess("vm:" + vm.Name)
 	vm.Kernel.SetWake(vm.wakeVCPU)
-	vm.vcpu = vm.hostOS.SpawnWithHandler(vm.Proc, vm.Name+"/vcpu", prio,
-		&vcpuProgram{vm: vm}, vcpuHandler{vm: vm})
+	vm.vcpu = vm.hostOS.Spawn(vm.Proc, vm.Name+"/vcpu", prio, &vcpuProgram{vm: vm})
 	vm.vcpu.Affinity = vm.affinity
 
 	if vm.Prof.ServiceDuty > 0 {
@@ -174,16 +162,11 @@ func (vm *VM) PowerOn(prio hostos.Priority) {
 		burst := vm.Prof.ServiceDuty * vm.Prof.ServicePeriod.Seconds() * vm.hostOS.M.CPU.FreqHz
 		idle := sim.Time(float64(vm.Prof.ServicePeriod) * (1 - vm.Prof.ServiceDuty))
 		svc := &serviceProgram{vm: vm, burst: burst, mix: vm.Prof.ServiceMix, idle: idle}
-		th := vm.hostOS.SpawnWithHandler(vm.SvcProc, vm.Name+"/svc", hostos.PrioAboveNormal, svc, nil)
+		th := vm.hostOS.Spawn(vm.SvcProc, vm.Name+"/svc", hostos.PrioAboveNormal, svc)
 		th.Affinity = vm.affinity
-		// Service work displaces the VM it serves when possible: prefer
-		// preempting the vCPU's own core.
-		th.VictimHint = func() int {
-			if vm.vcpu != nil && vm.vcpu.Running() {
-				return vm.vcpu.Core()
-			}
-			return -1
-		}
+		// Service work displaces the VM it serves when possible: it
+		// borrows the vCPU's core from its first wake on.
+		th.Victim = vm.vcpu
 	}
 }
 
