@@ -40,10 +40,13 @@ func Profile(total int64) *cost.Profile {
 // UDPDatagram is the iperf -u payload size (fits one Ethernet frame).
 const UDPDatagram = 1470
 
-// UDPProfile captures an iperf -u sender: datagrams of UDPDatagram bytes
+// UDPProfile returns an iperf -u sender: datagrams of UDPDatagram bytes
 // paced to the offered bit rate for the given duration. Loss happens in
-// the network (a bounded NAT proxy buffer), not in this profile.
-func UDPProfile(offeredBps float64, duration sim.Time) *cost.Profile {
+// the network (a bounded NAT proxy buffer), not in this program. A Meter
+// captures one datagram's steps, a send and a sleep of one interval, and
+// the program replays them once per datagram, so it holds three steps
+// however long it runs.
+func UDPProfile(offeredBps float64, duration sim.Time) cost.Program {
 	if offeredBps <= 0 || duration <= 0 {
 		panic("netbench: UDP profile needs positive rate and duration")
 	}
@@ -51,12 +54,25 @@ func UDPProfile(offeredBps float64, duration sim.Time) *cost.Profile {
 	if interval <= 0 {
 		interval = sim.Microsecond
 	}
-	m := cost.NewMeter(fmt.Sprintf("netbench-udp-%.0fMbps", offeredBps/1e6))
-	for at := sim.Time(0); at < duration; at += interval {
-		m.NetSend(ConnID, UDPDatagram)
-		m.Sleep(interval)
+	m := cost.NewMeter("netbench-udp-datagram")
+	m.NetSend(ConnID, UDPDatagram)
+	m.Sleep(interval)
+	// One datagram per pass of for at := 0; at < duration; at += interval.
+	return &udpSender{loop: cost.Loop(m.Profile()), datagrams: int((duration-1)/interval + 1)}
+}
+
+// udpSender replays one datagram's steps a fixed number of times.
+type udpSender struct {
+	loop      *cost.LoopProgram
+	datagrams int
+}
+
+// Next implements cost.Program.
+func (u *udpSender) Next() (cost.Step, bool) {
+	if u.loop.Laps == u.datagrams {
+		return cost.Step{}, false
 	}
-	return m.Profile()
+	return u.loop.Next()
 }
 
 // Mbps converts a transfer of bytes over elapsed time into the megabits

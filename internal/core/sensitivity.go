@@ -231,7 +231,7 @@ func UDPLossExperiment(cfg Config) ([]UDPLossResult, error) {
 		}
 		sock := vm.Kernel.Net.OpenUDP(netbench.ConnID)
 		sock.Sink = func(guestos.Datagram) {} // the socket counts bytes itself
-		vm.SpawnGuest("iperf-u", netbench.UDPProfile(offered, duration).Iter())
+		vm.SpawnGuest("iperf-u", netbench.UDPProfile(offered, duration))
 		vm.PowerOn(hostos.PrioNormal)
 		if !host.RunUntilFinished(vm.Proc, 3600*sim.Second) {
 			return nil, fmt.Errorf("core: UDP sender did not finish under %s", prof.Name)

@@ -64,6 +64,9 @@ type FileSystem struct {
 	nextExtent int64
 	lruClock   uint64
 
+	missing []extent   // the runs of pages a read misses, reused by every read
+	free    []*readReq // recycled read requests
+
 	// Stats
 	Hits, Misses   uint64
 	EvictedPages   uint64
@@ -184,8 +187,7 @@ func (fs *FileSystem) read(g *GThread, name string, off, n int64) (blocked bool)
 	fs.kernel.charge(float64(last-first+1) * pageCopyOps)
 
 	// Collect contiguous runs of missing pages.
-	type extent struct{ fromPage, toPage int64 }
-	var missing []extent
+	missing := fs.missing[:0]
 	for idx := first; idx <= last; idx++ {
 		if p := f.cachedPage(idx); p != nil {
 			fs.touch(p)
@@ -199,29 +201,58 @@ func (fs *FileSystem) read(g *GThread, name string, off, n int64) (blocked bool)
 			missing = append(missing, extent{idx, idx})
 		}
 	}
+	fs.missing = missing
 	if len(missing) == 0 {
 		return false
 	}
 	if fs.dev == nil {
 		panic(fmt.Sprintf("guestos: read miss on %q with no block device", name))
 	}
-	outstanding := len(missing)
+	g.reads = len(missing)
 	for _, e := range missing {
-		e := e
-		devOff := f.diskOff + e.fromPage*PageSize
-		bytes := (e.toPage - e.fromPage + 1) * PageSize
-		fs.dev.ReadBlocks(devOff, bytes, func() {
-			for idx := e.fromPage; idx <= e.toPage; idx++ {
-				fs.insert(f, idx, false)
-			}
-			outstanding--
-			if outstanding == 0 {
-				fs.kernel.makeRunnable(g)
-				fs.kernel.interruptEntry()
-			}
-		})
+		var r *readReq
+		if n := len(fs.free); n > 0 {
+			r = fs.free[n-1]
+			fs.free = fs.free[:n-1]
+		} else {
+			r = &readReq{fs: fs}
+			r.done = r.complete
+		}
+		r.f, r.g, r.extent = f, g, e
+		fs.dev.ReadBlocks(f.diskOff+e.fromPage*PageSize, (e.toPage-e.fromPage+1)*PageSize, r.done)
 	}
 	return true
+}
+
+// extent is a run of page indexes, both ends included.
+type extent struct{ fromPage, toPage int64 }
+
+// readReq is one run of pages that a read miss fetches from the device.
+// Requests are pooled per FileSystem, and done, the request's complete
+// method, is bound once when the request is made, so a read miss
+// allocates nothing at steady state.
+type readReq struct {
+	fs *FileSystem
+	f  *gfile
+	g  *GThread // the reader, blocked until its last request lands
+	extent
+	done func()
+}
+
+// complete caches the request's pages and wakes the reader once its last
+// request has landed. The request returns to the pool first, because the
+// wake may run the reader into its next read.
+func (r *readReq) complete() {
+	fs, f, g, e := r.fs, r.f, r.g, r.extent
+	fs.free = append(fs.free, r)
+	for idx := e.fromPage; idx <= e.toPage; idx++ {
+		fs.insert(f, idx, false)
+	}
+	g.reads--
+	if g.reads == 0 {
+		fs.kernel.makeRunnable(g)
+		fs.kernel.interruptEntry()
+	}
 }
 
 // write services a guest write: data lands in the cache and is flushed

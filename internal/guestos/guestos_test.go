@@ -323,6 +323,54 @@ func TestFSRewriteAfterDropAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFSReadMissAllocatesNothing: a read miss reuses its FileSystem's
+// buffer of missing runs and its pooled device requests, so re-reading a
+// file after DropCaches allocates nothing. The even pages are read one by
+// one first, so the whole-file read then misses in one run per odd page.
+// The re-reads run inside one AllocsPerRun call, so its count is exact.
+func TestFSReadMissAllocatesNothing(t *testing.T) {
+	const pages = 64
+	s := sim.New()
+	k, d := newKernelWithDisk(s)
+	fs := k.FS
+	fs.write(nil, "f", 0, pages*PageSize)
+	if !fs.fsync(&GThread{Name: "sync", kernel: k, state: gBlocked}, "f") {
+		t.Fatal("fsync of a dirty file did not block")
+	}
+	s.Run()
+	g := &GThread{Name: "reader", kernel: k}
+	read := func(off, n int64) {
+		g.state = gBlocked
+		if !fs.read(g, "f", off, n) {
+			t.Fatalf("read of %d bytes at %d did not block", n, off)
+		}
+		s.Run()
+		if g.state != gRunnable {
+			t.Fatalf("reader is in state %d after its read completed", g.state)
+		}
+		k.runq = k.runq[:0]
+	}
+	before := d.reads
+	allocs := testing.AllocsPerRun(1, func() {
+		fs.DropCaches()
+		for idx := int64(0); idx < pages; idx += 2 {
+			read(idx*PageSize, PageSize)
+		}
+		read(0, pages*PageSize)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations in re-reading %d pages after DropCaches, want 0", allocs, pages)
+	}
+	// AllocsPerRun runs the loop twice; each pass issues pages/2 reads
+	// for the even pages and then one per odd page.
+	if got := d.reads - before; got != 2*pages {
+		t.Fatalf("the re-reads issued %d device reads, want %d", got, 2*pages)
+	}
+	if got := fs.CachedBytes(); got != pages*PageSize {
+		t.Fatalf("%d bytes cached after the re-reads, want %d", got, pages*PageSize)
+	}
+}
+
 // TestFSDirtyExtentsAscendingMerged: writeback takes a file's dirty pages
 // as ascending runs of adjacent pages, whatever order they were written
 // in, and leaves them clean.

@@ -96,6 +96,9 @@ type GThread struct {
 	carryCycles float64
 	carryMix    cost.Mix
 
+	// reads counts the device reads a blocked read still waits on.
+	reads int
+
 	kernel *Kernel
 }
 

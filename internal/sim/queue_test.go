@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 )
@@ -16,6 +17,43 @@ import (
 func TestEventLayout(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n > 64 {
 		t.Fatalf("event is %d bytes, want at most 64", n)
+	}
+}
+
+// TestLessMatchesCellLess checks the branch-free compare of down's
+// tournament against cellLess on every ordered pair of edge keys, which
+// combine the extremes of at and seq, and on random pairs. Half of the
+// random pairs draw at from a few values, so that they often tie on at
+// and the low word's borrow decides.
+func TestLessMatchesCellLess(t *testing.T) {
+	check := func(a, b cell) {
+		want := uint64(0)
+		if cellLess(a, b) {
+			want = 1
+		}
+		if got := less(a, b); got != want {
+			t.Fatalf("less((%d, %d), (%d, %d)) = %d, cellLess says %d", a.at, a.seq, b.at, b.seq, got, want)
+		}
+	}
+	var edges []cell
+	for _, at := range []Time{math.MinInt64, -1, 0, 1, math.MaxInt64} {
+		for _, seq := range []uint64{0, 1, math.MaxUint64} {
+			edges = append(edges, cell{at: at, seq: seq})
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := NewRNG(1)
+	for i := 0; i < 1_000_000; i++ {
+		a := cell{at: Time(r.Uint64()), seq: r.Uint64()}
+		b := cell{at: Time(r.Uint64()), seq: r.Uint64()}
+		if i%2 == 1 {
+			a.at, b.at = Time(r.Intn(3)-1), Time(r.Intn(3)-1)
+		}
+		check(a, b)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // event is one scheduled callback. Events fire in (at, seq) order: ties
 // on at are broken by insertion order, which makes simultaneous events
@@ -72,6 +75,18 @@ func cellLess(a, b cell) bool {
 	return a.seq < b.seq
 }
 
+// less is cellLess as 0 or 1, computed without a branch. Read each key
+// (at, seq) as one 128-bit unsigned number, at in the high word with its
+// sign bit flipped so that signed order becomes unsigned order; then a's
+// key is less than b's exactly when subtracting b's from it borrows out
+// of the high word.
+func less(a, b cell) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^sign, uint64(b.at)^sign, borrow)
+	return borrow
+}
+
 // Simulator owns the virtual clock and the event queue. It is not safe for
 // concurrent use; the entire simulation runs on one goroutine by design.
 type Simulator struct {
@@ -105,6 +120,13 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 // the hot path. A 4-ary heap halves the depth (4 levels for a thousand
 // events), and the hole-style sifts below move each displaced cell once
 // instead of swapping it three writes at a time.
+//
+// down picks the least of a full node's four children without a branch,
+// on the path every pop takes. The keys of sibling events are in effect
+// random, so a branch per compare would often mispredict. Instead it
+// plays a two-round tournament: each compare is less, a 0 or 1 from a
+// borrow chain, and masking picks each winner. Only the compare of the
+// winner with the sifted cell, which ends the sift, still branches.
 
 // up sifts cell c toward the root from the hole at i.
 func (s *Simulator) up(i int, c cell) {
@@ -129,14 +151,22 @@ func (s *Simulator) down(i int, c cell) {
 		if first >= n {
 			break
 		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for j := first + 1; j < last; j++ {
-			if cellLess(s.queue[j], s.queue[best]) {
-				best = j
+		var best int
+		if first+4 <= n {
+			// a wins 0 against 1, b wins 2 against 3, and m is all
+			// ones when b beats a. The masks on the indexes only prove
+			// them in range to the compiler.
+			k := (*[4]cell)(s.queue[first:])
+			a := int(less(k[1], k[0]))
+			b := 2 | int(less(k[3], k[2]))
+			m := -int(less(k[b&3], k[a&1]))
+			best = first + (a ^ (a^b)&m)
+		} else {
+			best = first
+			for j := first + 1; j < n; j++ {
+				if cellLess(s.queue[j], s.queue[best]) {
+					best = j
+				}
 			}
 		}
 		if !cellLess(s.queue[best], c) {
