@@ -58,21 +58,7 @@ func UDPProfile(offeredBps float64, duration sim.Time) cost.Program {
 	m.NetSend(ConnID, UDPDatagram)
 	m.Sleep(interval)
 	// One datagram per pass of for at := 0; at < duration; at += interval.
-	return &udpSender{loop: cost.Loop(m.Profile()), datagrams: int((duration-1)/interval + 1)}
-}
-
-// udpSender replays one datagram's steps a fixed number of times.
-type udpSender struct {
-	loop      *cost.LoopProgram
-	datagrams int
-}
-
-// Next implements cost.Program.
-func (u *udpSender) Next() (cost.Step, bool) {
-	if u.loop.Laps == u.datagrams {
-		return cost.Step{}, false
-	}
-	return u.loop.Next()
+	return m.Profile().Repeat(int((duration-1)/interval + 1))
 }
 
 // Mbps converts a transfer of bytes over elapsed time into the megabits

@@ -2,6 +2,7 @@ package sevenz
 
 import (
 	"fmt"
+	"strconv"
 
 	"vmdg/internal/cost"
 	"vmdg/internal/sim"
@@ -32,13 +33,13 @@ func GenInput(seed uint64, size int) []byte {
 		phrases[i] = p
 	}
 	out := make([]byte, 0, size)
-	rec := 0
+	rec := int64(0)
 	for len(out) < size {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3, 4: // phrase repetition
 			out = append(out, phrases[rng.Intn(len(phrases))]...)
 		case 5, 6, 7: // structured record
-			out = append(out, []byte(fmt.Sprintf("rec=%08d;", rec))...)
+			out = appendRecord(out, rec)
 			rec++
 		default: // noise
 			n := 4 + rng.Intn(12)
@@ -48,6 +49,17 @@ func GenInput(seed uint64, size int) []byte {
 		}
 	}
 	return out[:size]
+}
+
+// appendRecord appends what fmt.Sprintf("rec=%08d;", rec) formats, for
+// rec >= 0, without building the string.
+func appendRecord(out []byte, rec int64) []byte {
+	out = append(out, "rec="...)
+	for pad := int64(10_000_000); pad > 1 && rec < pad; pad /= 10 {
+		out = append(out, '0')
+	}
+	out = strconv.AppendInt(out, rec, 10)
+	return append(out, ';')
 }
 
 // Result summarizes one benchmark run.

@@ -2,6 +2,7 @@ package sevenz
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,23 @@ func TestRoundTripSimple(t *testing.T) {
 		back, _ := Decompress(comp, len(src))
 		if !bytes.Equal(back, src) {
 			t.Fatalf("case %d: round trip failed (%d bytes)", i, len(src))
+		}
+	}
+}
+
+// TestAppendRecordMatchesSprintf: GenInput's record formatter writes
+// what fmt.Sprintf("rec=%08d;", rec) does, zero padding included, up to
+// and past the eight digits where the padding stops.
+func TestAppendRecordMatchesSprintf(t *testing.T) {
+	recs := []int64{99_999_999, 100_000_000, 1 << 40}
+	for rec := int64(0); rec < 200_000; rec++ {
+		recs = append(recs, rec)
+	}
+	var buf []byte
+	for _, rec := range recs {
+		buf = appendRecord(buf[:0], rec)
+		if want := fmt.Sprintf("rec=%08d;", rec); string(buf) != want {
+			t.Fatalf("appendRecord(%d) = %q, want %q", rec, buf, want)
 		}
 	}
 }

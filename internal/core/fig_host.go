@@ -196,7 +196,6 @@ func sevenzHostRates(cfg Config, prof *vmm.Profile, threads int, affinity uint64
 	// Stretch to ≈1 s of single-thread native time so quantum effects
 	// average out.
 	iters := int(2.4e9/p7z.TotalCycles()) + 1
-	prog := p7z.Repeat(iters)
 	instr := run.Instructions() * float64(iters)
 
 	host := newHost(cfg.Seed)
@@ -214,7 +213,7 @@ func sevenzHostRates(cfg Config, prof *vmm.Profile, threads int, affinity uint64
 	bench := host.NewProcess("7z")
 	start := host.Sim.Now()
 	for i := 0; i < threads; i++ {
-		host.Spawn(bench, fmt.Sprintf("7z-t%d", i), hostos.PrioNormal, prog.Iter())
+		host.Spawn(bench, fmt.Sprintf("7z-t%d", i), hostos.PrioNormal, p7z.Repeat(iters))
 	}
 	if !host.RunUntilFinished(bench, start+3600*sim.Second) {
 		return 0, fmt.Errorf("core: 7z host run did not finish")

@@ -13,16 +13,16 @@ import (
 // environment, and Figure 1 replays one 7z capture per repetition.
 // Each capture is a pure function of its key, so the process runs it
 // once and every later shard, worker and pass replays the same value,
-// the way grid memoizes its calibrations. Unlike grid's sync.Once
-// entries, each entry here is a sync.OnceValues closure: a capture that
-// panics panics again on every call instead of leaving a zero value
-// behind for the next caller. Nothing bounds the memos: a pass at reps
-// r fills r+1 7z entries and 10 NBench entries, and the serve daemon
-// never reaches them, since its sweeps run fleets.
+// the way grid memoizes its calibrations. Each entry is a
+// sync.OnceValues closure: a capture that panics panics again on every
+// call instead of leaving a zero value behind for the next caller.
+// Nothing bounds the memos: a pass at reps r fills r+1 7z entries and 10
+// NBench entries, and the serve daemon never reaches them, since its
+// sweeps run fleets.
 //
 // Memoized profiles are shared across workers and passes, so no caller
-// may mutate one. Replays read them through Profile.Iter, or copy them
-// with Profile.Repeat.
+// may mutate one. Replays read them through Profile.Iter, Profile.Repeat
+// or cost.Loop, and nothing copies them.
 
 // memo maps a capture key to the once-only closure that computes it.
 type memo[K comparable, A, B any] struct{ m sync.Map } // K -> func() (A, B)

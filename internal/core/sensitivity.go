@@ -42,14 +42,13 @@ func BusContentionSweep(cfg Config, ks []float64) (*report.Series, error) {
 		return nil, fmt.Errorf("core: 7z round trip failed")
 	}
 	iters := int(1.2e9/p7z.TotalCycles()) + 1
-	prog := p7z.Repeat(iters)
 	instr := run.Instructions() * float64(iters)
 
 	measure := func(busK float64, threads int) (float64, error) {
 		host := newHostWithBusK(cfg.Seed, busK)
 		bench := host.NewProcess("7z")
 		for i := 0; i < threads; i++ {
-			host.Spawn(bench, fmt.Sprintf("t%d", i), hostos.PrioNormal, prog.Iter())
+			host.Spawn(bench, fmt.Sprintf("t%d", i), hostos.PrioNormal, p7z.Repeat(iters))
 		}
 		if !host.RunUntilFinished(bench, 3600*sim.Second) {
 			return 0, fmt.Errorf("core: 7z sweep run did not finish")

@@ -192,13 +192,25 @@ func TestProfileIter(t *testing.T) {
 func TestProfileRepeat(t *testing.T) {
 	m := NewMeter("t")
 	m.Int(10)
+	m.DiskRead("f", 0, 1)
 	p := m.Profile()
-	r := p.Repeat(5)
-	if len(r.Steps) != 5*len(p.Steps) {
-		t.Fatalf("Repeat(5) steps = %d", len(r.Steps))
+	const laps = 5
+	r := p.Repeat(laps)
+	for lap := 0; lap < laps; lap++ {
+		for i, want := range p.Steps {
+			if got, ok := r.Next(); !ok || got != want {
+				t.Fatalf("lap %d, step %d is %v, %v, want %v", lap, i, got, ok, want)
+			}
+		}
+		if r.Laps != lap+1 {
+			t.Fatalf("after lap %d, Laps = %d", lap, r.Laps)
+		}
 	}
-	if math.Abs(r.TotalCycles()-5*p.TotalCycles()) > 1e-9 {
-		t.Fatal("Repeat cycle total mismatch")
+	if got, ok := r.Next(); ok {
+		t.Fatalf("step after %d laps is %v, want the end", laps, got)
+	}
+	if got, ok := p.Repeat(0).Next(); ok {
+		t.Fatalf("Repeat(0) yielded %v", got)
 	}
 }
 

@@ -129,18 +129,6 @@ func (p *Profile) OverallMix() Mix {
 	return mix
 }
 
-// Repeat returns a profile that replays p n times end to end. The step
-// slice is shared structurally via copying; profiles are treated as
-// immutable after capture.
-func (p *Profile) Repeat(n int) *Profile {
-	out := &Profile{Name: fmt.Sprintf("%s×%d", p.Name, n)}
-	out.Steps = make([]Step, 0, len(p.Steps)*n)
-	for i := 0; i < n; i++ {
-		out.Steps = append(out.Steps, p.Steps...)
-	}
-	return out
-}
-
 // Program yields steps one at a time; the simulated thread executes them in
 // order and terminates when ok is false. Implementations must be
 // deterministic: the sequence may depend only on construction parameters.
@@ -148,51 +136,49 @@ type Program interface {
 	Next() (step Step, ok bool)
 }
 
-// Iterator adapts a Profile into a Program.
-type Iterator struct {
+// Replay plays a profile's steps in order for a number of laps, or
+// forever. It only reads the profile, so one profile, memoized or not,
+// can back any number of replays.
+type Replay struct {
 	profile *Profile
 	pos     int
-}
-
-// Iter returns a fresh Program over p's steps.
-func (p *Profile) Iter() *Iterator { return &Iterator{profile: p} }
-
-// Next implements Program.
-func (it *Iterator) Next() (Step, bool) {
-	if it.pos >= len(it.profile.Steps) {
-		return Step{}, false
-	}
-	s := it.profile.Steps[it.pos]
-	it.pos++
-	return s, true
-}
-
-// LoopProgram replays a profile forever — the shape of a BOINC worker that
-// always has another work unit. It never returns ok=false.
-type LoopProgram struct {
-	profile *Profile
-	pos     int
+	laps    int // laps to play; negative plays forever
 	// Laps counts completed traversals, letting experiments measure
 	// throughput of an endless worker.
 	Laps int
 }
 
+// Iter returns a Program that plays p's steps once.
+func (p *Profile) Iter() *Replay { return p.Repeat(1) }
+
+// Repeat returns a Program that plays p's steps n times end to end.
+func (p *Profile) Repeat(n int) *Replay {
+	if n < 0 {
+		panic(fmt.Sprintf("cost: Repeat(%d)", n))
+	}
+	return &Replay{profile: p, laps: n}
+}
+
 // Loop returns a Program that cycles through p's steps indefinitely.
 // It panics on an empty profile, which would otherwise spin the simulator.
-func Loop(p *Profile) *LoopProgram {
+func Loop(p *Profile) *Replay {
 	if len(p.Steps) == 0 {
 		panic("cost: Loop over empty profile")
 	}
-	return &LoopProgram{profile: p}
+	return &Replay{profile: p, laps: -1}
 }
 
-// Next implements Program; it always succeeds.
-func (l *LoopProgram) Next() (Step, bool) {
-	s := l.profile.Steps[l.pos]
-	l.pos++
-	if l.pos == len(l.profile.Steps) {
-		l.pos = 0
-		l.Laps++
+// Next implements Program.
+func (r *Replay) Next() (Step, bool) {
+	steps := r.profile.Steps
+	if r.Laps == r.laps || len(steps) == 0 {
+		return Step{}, false
+	}
+	s := steps[r.pos]
+	r.pos++
+	if r.pos == len(steps) {
+		r.pos = 0
+		r.Laps++
 	}
 	return s, true
 }

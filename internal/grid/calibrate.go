@@ -54,15 +54,11 @@ type calKey struct {
 	quick      bool
 }
 
-// calEntry delays the micro-simulation until first use and shares the
-// result across every shard in the process.
-type calEntry struct {
-	once sync.Once
-	val  Calibration
-	err  error
-}
-
-var calCache sync.Map // calKey -> *calEntry
+// calCache maps each calKey to the sync.OnceValues closure that runs its
+// micro-simulation on first use and shares the result across every shard
+// in the process. A calibration that panics panics again for every later
+// caller.
+var calCache sync.Map // calKey -> func() (Calibration, error)
 
 // calibrationFor returns the memoized calibration for (class, prof),
 // running the detailed micro-simulation on first use. The value is a
@@ -70,12 +66,13 @@ var calCache sync.Map // calKey -> *calEntry
 // matters.
 func calibrationFor(class *Class, prof vmm.Profile, seed uint64, ckptEvery int, quick bool) (Calibration, error) {
 	k := calKey{class: class.Name, env: prof.Name, seed: seed, ckptEvery: ckptEvery, quick: quick}
-	e, _ := calCache.LoadOrStore(k, &calEntry{})
-	entry := e.(*calEntry)
-	entry.once.Do(func() {
-		entry.val, entry.err = calibrate(class, prof, seed, ckptEvery, quick)
-	})
-	return entry.val, entry.err
+	f, ok := calCache.Load(k)
+	if !ok {
+		f, _ = calCache.LoadOrStore(k, sync.OnceValues(func() (Calibration, error) {
+			return calibrate(class, prof, seed, ckptEvery, quick)
+		}))
+	}
+	return f.(func() (Calibration, error))()
 }
 
 // calibrate runs the full hw/hostos/vmm/boinc stack for one machine of

@@ -3,6 +3,8 @@ package guestos
 import (
 	"fmt"
 	"sort"
+
+	"vmdg/internal/sim"
 )
 
 // Filesystem cost constants, in kernel-class operations.
@@ -64,8 +66,8 @@ type FileSystem struct {
 	nextExtent int64
 	lruClock   uint64
 
-	missing []extent   // the runs of pages a read misses, reused by every read
-	free    []*readReq // recycled read requests
+	runs []extent   // the runs of pages a read misses or a flush writes, reused by each
+	free []*diskReq // recycled device requests
 
 	// Stats
 	Hits, Misses   uint64
@@ -187,7 +189,7 @@ func (fs *FileSystem) read(g *GThread, name string, off, n int64) (blocked bool)
 	fs.kernel.charge(float64(last-first+1) * pageCopyOps)
 
 	// Collect contiguous runs of missing pages.
-	missing := fs.missing[:0]
+	fs.runs = fs.runs[:0]
 	for idx := first; idx <= last; idx++ {
 		if p := f.cachedPage(idx); p != nil {
 			fs.touch(p)
@@ -195,64 +197,88 @@ func (fs *FileSystem) read(g *GThread, name string, off, n int64) (blocked bool)
 			continue
 		}
 		fs.Misses++
-		if len(missing) > 0 && missing[len(missing)-1].toPage == idx-1 {
-			missing[len(missing)-1].toPage = idx
-		} else {
-			missing = append(missing, extent{idx, idx})
-		}
+		fs.addRun(idx)
 	}
-	fs.missing = missing
-	if len(missing) == 0 {
+	if len(fs.runs) == 0 {
 		return false
 	}
 	if fs.dev == nil {
 		panic(fmt.Sprintf("guestos: read miss on %q with no block device", name))
 	}
-	g.reads = len(missing)
-	for _, e := range missing {
-		var r *readReq
-		if n := len(fs.free); n > 0 {
-			r = fs.free[n-1]
-			fs.free = fs.free[:n-1]
-		} else {
-			r = &readReq{fs: fs}
-			r.done = r.complete
-		}
-		r.f, r.g, r.extent = f, g, e
-		fs.dev.ReadBlocks(f.diskOff+e.fromPage*PageSize, (e.toPage-e.fromPage+1)*PageSize, r.done)
-	}
+	fs.submit(f, g, false)
 	return true
 }
 
 // extent is a run of page indexes, both ends included.
 type extent struct{ fromPage, toPage int64 }
 
-// readReq is one run of pages that a read miss fetches from the device.
-// Requests are pooled per FileSystem, and done, the request's complete
-// method, is bound once when the request is made, so a read miss
-// allocates nothing at steady state.
-type readReq struct {
-	fs *FileSystem
-	f  *gfile
-	g  *GThread // the reader, blocked until its last request lands
-	extent
-	done func()
+// addRun adds page idx to fs.runs: it extends the last run if idx
+// follows it, and starts a new run otherwise.
+func (fs *FileSystem) addRun(idx int64) {
+	if n := len(fs.runs); n > 0 && fs.runs[n-1].toPage == idx-1 {
+		fs.runs[n-1].toPage = idx
+	} else {
+		fs.runs = append(fs.runs, extent{idx, idx})
+	}
 }
 
-// complete caches the request's pages and wakes the reader once its last
-// request has landed. The request returns to the pool first, because the
-// wake may run the reader into its next read.
-func (r *readReq) complete() {
-	fs, f, g, e := r.fs, r.f, r.g, r.extent
+// submit sends each run in fs.runs to the device as a request: it reads
+// the run into f's cache, or writes it from there. g, if not nil, is the
+// thread that blocks until its last request lands.
+func (fs *FileSystem) submit(f *gfile, g *GThread, write bool) {
+	if g != nil {
+		g.pending = len(fs.runs)
+	}
+	for _, e := range fs.runs {
+		var r *diskReq
+		if n := len(fs.free); n > 0 {
+			r = fs.free[n-1]
+			fs.free = fs.free[:n-1]
+		} else {
+			r = &diskReq{fs: fs}
+		}
+		r.f, r.g, r.write, r.extent = f, g, write, e
+		pages := e.toPage - e.fromPage + 1
+		if write {
+			fs.WritebackPages += uint64(pages)
+		}
+		fs.dev.Submit(f.diskOff+e.fromPage*PageSize, pages*PageSize, write, r)
+	}
+}
+
+// diskReq is one run of pages on its way between the cache and the
+// device: a read miss's fetch, or an fsync's or writeback's write.
+// Requests are pooled per FileSystem and are the device's sim.Caller, so
+// guest disk I/O allocates nothing at steady state.
+type diskReq struct {
+	fs    *FileSystem
+	f     *gfile
+	g     *GThread // the thread blocked until its last request lands, or nil
+	write bool
+	extent
+}
+
+// Fire implements sim.Caller: the run landed. A read caches its pages.
+// A blocked thread wakes, with one interrupt, once its last request has
+// landed; writeback raises one interrupt per request. The request
+// returns to the pool first, because the wake may run the thread into
+// its next request.
+func (r *diskReq) Fire(sim.Time) {
+	fs, f, g, write, e := r.fs, r.f, r.g, r.write, r.extent
 	fs.free = append(fs.free, r)
-	for idx := e.fromPage; idx <= e.toPage; idx++ {
-		fs.insert(f, idx, false)
+	if !write {
+		for idx := e.fromPage; idx <= e.toPage; idx++ {
+			fs.insert(f, idx, false)
+		}
 	}
-	g.reads--
-	if g.reads == 0 {
+	if g != nil {
+		g.pending--
+		if g.pending > 0 {
+			return
+		}
 		fs.kernel.makeRunnable(g)
-		fs.kernel.interruptEntry()
 	}
+	fs.kernel.interruptEntry()
 }
 
 // write services a guest write: data lands in the cache and is flushed
@@ -282,10 +308,11 @@ func (fs *FileSystem) write(g *GThread, name string, off, n int64) (blocked bool
 // clean pages alone), so the two keep f.dirty exact.
 func (fs *FileSystem) dirtyBytes(f *gfile) int64 { return f.dirty * PageSize }
 
-// dirtyExtents groups a file's dirty pages into ascending contiguous runs
-// and marks them clean (the caller is committing them to the device).
-func (fs *FileSystem) dirtyExtents(f *gfile) [][2]int64 {
-	var runs [][2]int64
+// dirtyExtents collects a file's dirty pages into fs.runs as ascending
+// contiguous runs and marks them clean (the caller is committing them to
+// the device).
+func (fs *FileSystem) dirtyExtents(f *gfile) {
+	fs.runs = fs.runs[:0]
 	for i := range f.pages {
 		p := &f.pages[i]
 		if !p.dirty {
@@ -293,14 +320,8 @@ func (fs *FileSystem) dirtyExtents(f *gfile) [][2]int64 {
 		}
 		p.dirty = false
 		f.dirty--
-		idx := int64(i)
-		if len(runs) > 0 && runs[len(runs)-1][1] == idx-1 {
-			runs[len(runs)-1][1] = idx
-		} else {
-			runs = append(runs, [2]int64{idx, idx})
-		}
+		fs.addRun(int64(i))
 	}
-	return runs
 }
 
 // flushAsync issues writeback without blocking anyone.
@@ -308,13 +329,8 @@ func (fs *FileSystem) flushAsync(f *gfile) {
 	if fs.dev == nil {
 		return
 	}
-	for _, run := range fs.dirtyExtents(f) {
-		bytes := (run[1] - run[0] + 1) * PageSize
-		fs.WritebackPages += uint64(bytes / PageSize)
-		fs.dev.WriteBlocks(f.diskOff+run[0]*PageSize, bytes, func() {
-			fs.kernel.interruptEntry()
-		})
-	}
+	fs.dirtyExtents(f)
+	fs.submit(f, nil, true)
 }
 
 // fsync flushes a file's dirty pages and blocks the thread until the
@@ -324,22 +340,11 @@ func (fs *FileSystem) fsync(g *GThread, name string) (blocked bool) {
 	if !ok || fs.dev == nil {
 		return false
 	}
-	runs := fs.dirtyExtents(f)
-	if len(runs) == 0 {
+	fs.dirtyExtents(f)
+	if len(fs.runs) == 0 {
 		return false
 	}
-	outstanding := len(runs)
-	for _, run := range runs {
-		bytes := (run[1] - run[0] + 1) * PageSize
-		fs.WritebackPages += uint64(bytes / PageSize)
-		fs.dev.WriteBlocks(f.diskOff+run[0]*PageSize, bytes, func() {
-			outstanding--
-			if outstanding == 0 {
-				fs.kernel.makeRunnable(g)
-				fs.kernel.interruptEntry()
-			}
-		})
-	}
+	fs.submit(f, g, true)
 	return true
 }
 

@@ -68,16 +68,17 @@ type fakeDisk struct {
 	writByte int64
 }
 
-func (d *fakeDisk) ReadBlocks(off, bytes int64, done func()) {
-	d.reads++
-	d.readByte += bytes
-	d.s.Schedule(d.s.Now()+d.latency+sim.FromSeconds(float64(bytes)/d.bps), "fake-read", callFunc(done))
-}
-
-func (d *fakeDisk) WriteBlocks(off, bytes int64, done func()) {
-	d.writes++
-	d.writByte += bytes
-	d.s.Schedule(d.s.Now()+d.latency+sim.FromSeconds(float64(bytes)/d.bps), "fake-write", callFunc(done))
+func (d *fakeDisk) Submit(off, bytes int64, write bool, done sim.Caller) {
+	label := "fake-read"
+	if write {
+		d.writes++
+		d.writByte += bytes
+		label = "fake-write"
+	} else {
+		d.reads++
+		d.readByte += bytes
+	}
+	d.s.Schedule(d.s.Now()+d.latency+sim.FromSeconds(float64(bytes)/d.bps), label, done)
 }
 
 // nativeNIC bridges the guest stack straight onto hardware links, the
@@ -371,6 +372,133 @@ func TestFSReadMissAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFSFlushAllocatesNothing: fsync and async writeback collect their
+// dirty runs in the filesystem's reused buffer and send each run through
+// a pooled device request, so neither allocates. The fsync's file is
+// dirty in 32 separate one-page runs; the writeback rewrites
+// writebackHighWater bytes of a file whose page table already covers
+// them, in one run. Each case runs inside one AllocsPerRun call, so its
+// count is exact.
+func TestFSFlushAllocatesNothing(t *testing.T) {
+	const runs = 32
+	t.Run("fsync", func(t *testing.T) {
+		s := sim.New()
+		k, d := newKernelWithDisk(s)
+		fs := k.FS
+		fs.write(nil, "f", 0, 2*runs*PageSize)
+		g := &GThread{Name: "sync", kernel: k}
+		fsync := func() {
+			g.state = gBlocked
+			if !fs.fsync(g, "f") {
+				t.Fatal("fsync of a dirty file did not block")
+			}
+			s.Run()
+			if g.state != gRunnable {
+				t.Fatalf("syncer is in state %d after its fsync completed", g.state)
+			}
+			k.runq = k.runq[:0]
+		}
+		fsync()
+		before := d.writes
+		allocs := testing.AllocsPerRun(1, func() {
+			for idx := int64(0); idx < 2*runs; idx += 2 {
+				fs.write(nil, "f", idx*PageSize, PageSize)
+			}
+			fsync()
+		})
+		if allocs != 0 {
+			t.Errorf("%v allocations in an fsync of %d one-page runs, want 0", allocs, runs)
+		}
+		// AllocsPerRun runs the function twice, a warm-up and the
+		// measured call.
+		if got := d.writes - before; got != 2*runs {
+			t.Errorf("the fsyncs issued %d device writes, want %d", got, 2*runs)
+		}
+	})
+	t.Run("writeback", func(t *testing.T) {
+		s := sim.New()
+		k, d := newKernelWithDisk(s)
+		fs := k.FS
+		write := func() {
+			fs.write(nil, "f", 0, writebackHighWater)
+			s.Run()
+		}
+		write()
+		before := d.writes
+		allocs := testing.AllocsPerRun(1, write)
+		if allocs != 0 {
+			t.Errorf("%v allocations in a write of %d MB that starts writeback, want 0", allocs, writebackHighWater>>20)
+		}
+		if got := d.writes - before; got != 2 {
+			t.Errorf("the writes issued %d device writes, want 2", got)
+		}
+		if got := fs.DirtyBytes(); got != 0 {
+			t.Errorf("%d dirty bytes after writeback, want 0", got)
+		}
+	})
+}
+
+// TestFSFlushInterrupts: a thread blocked on fsync wakes, with exactly
+// one interrupt, only when the last of its runs lands, while async
+// writeback raises one interrupt per run and wakes no one. The dirty
+// runs are 1, 2 and 3 pages long, so the fake disk lands each at its own
+// instant, and the test fires one instant at a time.
+func TestFSFlushInterrupts(t *testing.T) {
+	const runs = 3
+	s := sim.New()
+	k, d := newKernelWithDisk(s)
+	fs := k.FS
+	dirty := func() {
+		for _, idx := range []int64{0, 2, 3, 5, 6, 7} {
+			fs.write(nil, "f", idx*PageSize, PageSize)
+		}
+	}
+	land := func() {
+		at, ok := s.NextEventTime()
+		if !ok {
+			t.Fatal("no device write in flight")
+		}
+		s.RunUntil(at)
+	}
+
+	dirty()
+	g := &GThread{Name: "sync", kernel: k, state: gBlocked}
+	if !fs.fsync(g, "f") {
+		t.Fatal("fsync of a dirty file did not block")
+	}
+	if d.writes != runs {
+		t.Fatalf("fsync issued %d device writes, want %d", d.writes, runs)
+	}
+	for i := 1; i <= runs; i++ {
+		land()
+		state, interrupts := gBlocked, uint64(0)
+		if i == runs {
+			state, interrupts = gRunnable, 1
+		}
+		if g.state != state || k.Interrupts != interrupts {
+			t.Fatalf("after %d of %d runs landed: thread state %d with %d interrupts, want %d with %d",
+				i, runs, g.state, k.Interrupts, state, interrupts)
+		}
+	}
+	k.runq = k.runq[:0]
+
+	dirty()
+	fs.flushAsync(fs.files["f"])
+	if d.writes != 2*runs {
+		t.Fatalf("writeback issued %d device writes, want %d", d.writes-runs, runs)
+	}
+	for i := 1; i <= runs; i++ {
+		land()
+		if want := uint64(1 + i); k.Interrupts != want || len(k.runq) != 0 {
+			t.Fatalf("after %d of %d writeback runs landed: %d interrupts and %d runnable threads, want %d and none",
+				i, runs, k.Interrupts, len(k.runq), want)
+		}
+	}
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("%d events pending after every run landed", n)
+	}
+}
+
 // TestFSDirtyExtentsAscendingMerged: writeback takes a file's dirty pages
 // as ascending runs of adjacent pages, whatever order they were written
 // in, and leaves them clean.
@@ -382,15 +510,15 @@ func TestFSDirtyExtentsAscendingMerged(t *testing.T) {
 		fs.write(nil, "f", idx*PageSize, PageSize)
 	}
 	f := fs.files["f"]
-	want := [][2]int64{{3, 5}, {9, 9}}
-	if got := fs.dirtyExtents(f); !slices.Equal(got, want) {
-		t.Fatalf("dirtyExtents = %v, want %v", got, want)
+	want := []extent{{3, 5}, {9, 9}}
+	if fs.dirtyExtents(f); !slices.Equal(fs.runs, want) {
+		t.Fatalf("dirtyExtents collected %v, want %v", fs.runs, want)
 	}
 	if f.dirty != 0 || scanDirtyBytes(f) != 0 {
 		t.Fatalf("after dirtyExtents: counter %d, scan %d dirty bytes", f.dirty, scanDirtyBytes(f))
 	}
-	if got := fs.dirtyExtents(f); len(got) != 0 {
-		t.Fatalf("second dirtyExtents = %v, want none", got)
+	if fs.dirtyExtents(f); len(fs.runs) != 0 {
+		t.Fatalf("second dirtyExtents collected %v, want none", fs.runs)
 	}
 	if fs.CachedBytes() != 4*PageSize {
 		t.Fatalf("cached %d bytes, want the 4 written pages", fs.CachedBytes())

@@ -20,11 +20,10 @@ const (
 // BlockDevice is the disk the guest kernel's filesystem sits on: either
 // raw hardware (native baseline) or a VMM's emulated drive.
 type BlockDevice interface {
-	// ReadBlocks fetches bytes at the device offset; done fires on
-	// completion (an interrupt, from the guest's point of view).
-	ReadBlocks(off, bytes int64, done func())
-	// WriteBlocks persists bytes at the device offset.
-	WriteBlocks(off, bytes int64, done func())
+	// Submit reads or writes bytes at the device offset and fires done
+	// when they land (an interrupt, from the guest's point of view).
+	// done fires from a later event, never inside Submit.
+	Submit(off, bytes int64, write bool, done sim.Caller)
 }
 
 // NetDevice is the guest's NIC: either effectively the physical adapter
@@ -96,8 +95,9 @@ type GThread struct {
 	carryCycles float64
 	carryMix    cost.Mix
 
-	// reads counts the device reads a blocked read still waits on.
-	reads int
+	// pending counts the device requests a thread blocked on a read or
+	// an fsync still waits on.
+	pending int
 
 	kernel *Kernel
 }

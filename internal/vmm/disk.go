@@ -39,14 +39,14 @@ type diskCmd struct {
 	d          *VirtualDisk
 	off, bytes int64 // the part of the command no chunk has covered yet
 	write      bool
-	done       func()
+	done       sim.Caller
 	ext        []Extent // the current chunk's host extents
 	onDisk     int      // how many of ext are still on the host disk
 }
 
 // Fire implements sim.Caller: the chunk's emulation delay ended, or one
 // of its extents landed.
-func (c *diskCmd) Fire(sim.Time) {
+func (c *diskCmd) Fire(now sim.Time) {
 	if c.onDisk == 0 {
 		// Emulated: the chunk's extents go to the host disk in order.
 		c.onDisk = len(c.ext)
@@ -68,20 +68,12 @@ func (c *diskCmd) Fire(sim.Time) {
 	done := c.done
 	c.done = nil
 	c.d.free = append(c.d.free, c)
-	done()
+	done.Fire(now)
 }
 
-// ReadBlocks implements guestos.BlockDevice.
-func (d *VirtualDisk) ReadBlocks(off, bytes int64, done func()) {
-	d.submit(off, bytes, false, done)
-}
-
-// WriteBlocks implements guestos.BlockDevice.
-func (d *VirtualDisk) WriteBlocks(off, bytes int64, done func()) {
-	d.submit(off, bytes, true, done)
-}
-
-func (d *VirtualDisk) submit(off, bytes int64, write bool, done func()) {
+// Submit implements guestos.BlockDevice: the command's first chunk
+// starts now, and done fires when its last chunk lands.
+func (d *VirtualDisk) Submit(off, bytes int64, write bool, done sim.Caller) {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("vmm: virtual disk request of %d bytes", bytes))
 	}

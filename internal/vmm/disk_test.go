@@ -10,29 +10,18 @@ import (
 
 // diskChain keeps one command in flight on a virtual disk: each
 // completion submits the next, alternating 3 MB reads and writes of the
-// same guest extent.
+// same guest extent. The chain is each command's Caller, so a submit
+// allocates nothing.
 type diskChain struct {
 	d         *vmm.VirtualDisk
 	write     bool
 	completed int
-	done      func() // complete, bound once so a submit allocates nothing
 }
 
-func newDiskChain(d *vmm.VirtualDisk) *diskChain {
-	c := &diskChain{d: d}
-	c.done = c.complete
-	return c
-}
+func (c *diskChain) submit() { c.d.Submit(0, 3<<20, c.write, c) }
 
-func (c *diskChain) submit() {
-	if c.write {
-		c.d.WriteBlocks(0, 3<<20, c.done)
-	} else {
-		c.d.ReadBlocks(0, 3<<20, c.done)
-	}
-}
-
-func (c *diskChain) complete() {
+// Fire implements sim.Caller: the command landed.
+func (c *diskChain) Fire(sim.Time) {
 	c.completed++
 	c.write = !c.write
 	c.submit()
@@ -57,7 +46,7 @@ func TestVirtualDiskAllocatesNothing(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			host, vm := testVM(t, vmm.Config{Prof: c.prof, Image: c.image})
-			chain := newDiskChain(vm.Disk)
+			chain := &diskChain{d: vm.Disk}
 			chain.submit()
 			host.RunFor(sim.Second)
 
@@ -82,7 +71,7 @@ func TestVirtualDiskAllocatesNothing(t *testing.T) {
 // VMware Player VM's disk.
 func BenchmarkVirtualDisk(b *testing.B) {
 	host, vm := testVM(b, vmm.Config{Prof: profiles.VMwarePlayer()})
-	newDiskChain(vm.Disk).submit()
+	(&diskChain{d: vm.Disk}).submit()
 	host.RunFor(sim.Second)
 	b.ReportAllocs()
 	b.ResetTimer()
