@@ -109,13 +109,9 @@ func cmdServe(args []string) error {
 	fc.EnableMemTier(engine.DefaultMemTierBytes)
 	fc.Prune(engine.DefaultMaxAge, engine.DefaultMaxBytes)
 
-	pool := engine.DefaultPool()
-	if o.workers > 0 {
-		pool = engine.NewPool(o.workers)
-	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	s := &serve.Server{
-		Pool:    pool,
+		Pool:    engine.NewPool(o.workers),
 		Cache:   fc,
 		MaxRuns: o.maxRuns,
 		Resume:  o.resume,
@@ -129,7 +125,7 @@ func cmdServe(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Info("dgrid serve listening",
-		"addr", o.addr, "cache", fc.Dir(), "workers", pool.Workers(),
+		"addr", o.addr, "cache", fc.Dir(), "workers", s.Pool.Workers(),
 		"version", serve.Version(), "go", runtime.Version())
 
 	select {

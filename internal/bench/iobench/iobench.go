@@ -30,50 +30,51 @@ const (
 // FileName names the benchmark file for a given size.
 func FileName(size int64) string { return fmt.Sprintf("iobench-%dK", size>>10) }
 
-// WriteProfile captures the write phase for one file size: generate random
-// data, write it in chunks, fsync.
+// Profile captures one file size's whole benchmark run as one guest
+// program: the write phase, then the read phase.
+func Profile(size int64) *cost.Profile {
+	m := cost.NewMeter(fmt.Sprintf("iobench-%dK", size>>10))
+	writePhase(m, size)
+	readPhase(m, size)
+	return m.Profile()
+}
+
+// WriteProfile captures the write phase for one file size.
 func WriteProfile(size int64) *cost.Profile {
 	m := cost.NewMeter(fmt.Sprintf("iobench-write-%dK", size>>10))
+	writePhase(m, size)
+	return m.Profile()
+}
+
+// ReadProfile captures the read phase for one file size.
+func ReadProfile(size int64) *cost.Profile {
+	m := cost.NewMeter(fmt.Sprintf("iobench-read-%dK", size>>10))
+	readPhase(m, size)
+	return m.Profile()
+}
+
+// writePhase generates random data, writes it in chunks, and fsyncs.
+func writePhase(m *cost.Meter, size int64) {
 	name := FileName(size)
 	for off := int64(0); off < size; off += chunk {
-		n := chunk
-		if size-off < int64(n) {
-			n = int(size - off)
-		}
+		n := min(size-off, chunk)
 		m.Ops(cost.Counts{
 			IntOps: uint64(genIntPerByte * float64(n)),
 			MemOps: uint64(genMemPerByte * float64(n)),
 		})
-		m.DiskWrite(name, off, int64(n))
+		m.DiskWrite(name, off, n)
 	}
 	m.DiskSync(name)
-	return m.Profile()
 }
 
-// ReadProfile captures the read phase: drop caches, then read the file
-// back in chunks, verifying as it goes (a checksum pass over the data).
-func ReadProfile(size int64) *cost.Profile {
-	m := cost.NewMeter(fmt.Sprintf("iobench-read-%dK", size>>10))
+// readPhase drops caches, then reads the file back in chunks, verifying
+// as it goes (a checksum pass over the data).
+func readPhase(m *cost.Meter, size int64) {
 	name := FileName(size)
 	m.DropCaches()
 	for off := int64(0); off < size; off += chunk {
-		n := chunk
-		if size-off < int64(n) {
-			n = int(size - off)
-		}
-		m.DiskRead(name, off, int64(n))
+		n := min(size-off, chunk)
+		m.DiskRead(name, off, n)
 		m.Ops(cost.Counts{IntOps: uint64(n), MemOps: uint64(n) / 8}) // checksum pass
 	}
-	return m.Profile()
-}
-
-// SweepProfile concatenates write+read phases over the full size sweep —
-// one complete IOBench run as a single guest program.
-func SweepProfile() *cost.Profile {
-	p := &cost.Profile{Name: "iobench-sweep"}
-	for _, size := range Sizes() {
-		p.Steps = append(p.Steps, WriteProfile(size).Steps...)
-		p.Steps = append(p.Steps, ReadProfile(size).Steps...)
-	}
-	return p
 }

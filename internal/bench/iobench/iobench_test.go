@@ -1,6 +1,7 @@
 package iobench
 
 import (
+	"reflect"
 	"testing"
 
 	"vmdg/internal/cost"
@@ -70,15 +71,15 @@ func TestReadProfileShape(t *testing.T) {
 	}
 }
 
-func TestSweepProfileTotals(t *testing.T) {
-	p := SweepProfile()
-	read, written := p.TotalDiskBytes()
-	var want int64
-	for _, s := range Sizes() {
-		want += s
-	}
-	if read != want || written != want {
-		t.Fatalf("sweep bytes r=%d w=%d, want %d each", read, written, want)
+// TestProfileIsWriteThenRead pins Profile(size) to the write phase
+// followed by the read phase, step for step, at every size of the sweep
+// and at two sizes that end in a short chunk.
+func TestProfileIsWriteThenRead(t *testing.T) {
+	for _, size := range append(Sizes(), 192<<10, 1<<20+12345) {
+		want := append(WriteProfile(size).Steps, ReadProfile(size).Steps...)
+		if got := Profile(size).Steps; !reflect.DeepEqual(got, want) {
+			t.Errorf("Profile(%d): %d steps differ from the %d of its write and read phases", size, len(got), len(want))
+		}
 	}
 }
 

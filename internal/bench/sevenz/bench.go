@@ -17,6 +17,10 @@ const (
 	DefaultPasses = 8
 )
 
+// longestAppend bounds what one step of GenInput's loop appends: a
+// phrase of up to 8+39 bytes. A record takes 13 and noise at most 15.
+const longestAppend = 8 + 39
+
 // GenInput produces the benchmark's deterministic, compressible input:
 // a blend of repeated phrases (dictionary hits), counter-structured
 // records, and incompressible noise — the texture 7z's own benchmark
@@ -32,7 +36,9 @@ func GenInput(seed uint64, size int) []byte {
 		}
 		phrases[i] = p
 	}
-	out := make([]byte, 0, size)
+	// The loop stops once out reaches size, so its last append may run
+	// past size by up to longestAppend-1 bytes; reserve room for that.
+	out := make([]byte, 0, size+longestAppend)
 	rec := int64(0)
 	for len(out) < size {
 		switch rng.Intn(10) {

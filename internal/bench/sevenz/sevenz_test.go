@@ -123,6 +123,18 @@ func TestGenInputDeterministicAndSized(t *testing.T) {
 	}
 }
 
+// TestGenInputAllocatesOnce: the buffer GenInput reserves holds the
+// last append that overshoots size, so it is never regrown.
+func TestGenInputAllocatesOnce(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3, 7, 42} {
+		for _, size := range []int{128 << 10, 256 << 10, 512 << 10, 1 << 20} {
+			if got := cap(GenInput(seed, size)); got > size+longestAppend {
+				t.Errorf("cap(GenInput(%d, %d)) = %d, want at most %d", seed, size, got, size+longestAppend)
+			}
+		}
+	}
+}
+
 func TestRunReportsOps(t *testing.T) {
 	res := Run(1, 1<<16, 2)
 	if !res.RoundTrip {

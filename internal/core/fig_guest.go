@@ -159,9 +159,7 @@ func fig3Shard(cfg Config, e int) (ShardPayload, error) {
 	sizes := figure3Sizes(cfg)
 	walls := make([]float64, len(sizes))
 	for i, size := range sizes {
-		prog := &cost.Profile{Name: "iobench"}
-		prog.Steps = append(prog.Steps, iobench.WriteProfile(size).Steps...)
-		prog.Steps = append(prog.Steps, iobench.ReadProfile(size).Steps...)
+		prog := iobenchProfile(size)
 		s := &stats.Sample{}
 		for r := 0; r < cfg.reps(); r++ {
 			w, err := guestRun(prof, prog.Iter(), cfg.Seed+uint64(r), nil)

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"vmdg/internal/bench/iobench"
 	"vmdg/internal/bench/nbench"
 	"vmdg/internal/bench/sevenz"
 	"vmdg/internal/cost"
@@ -10,15 +11,17 @@ import (
 
 // The host-intrusiveness experiments (Figures 5–8 and the studies built
 // on Figure 7) replay the same few benchmark captures under every
-// environment, and Figure 1 replays one 7z capture per repetition.
+// environment, Figure 1 replays one 7z capture per repetition, and
+// Figure 3 replays one IOBench capture per file size in every
+// environment.
 // Each capture is a pure function of its key, so the process runs it
 // once and every later shard, worker and pass replays the same value,
 // the way grid memoizes its calibrations. Each entry is a
 // sync.OnceValues closure: a capture that panics panics again on every
 // call instead of leaving a zero value behind for the next caller.
-// Nothing bounds the memos: a pass at reps r fills r+1 7z entries and 10
-// NBench entries, and the serve daemon never reaches them, since its
-// sweeps run fleets.
+// Nothing bounds the memos: a pass at reps r fills r+1 7z entries, 10
+// NBench entries and 9 IOBench entries, and the serve daemon never
+// reaches them, since its sweeps run fleets.
 //
 // Memoized profiles are shared across workers and passes, so no caller
 // may mutate one. Replays read them through Profile.Iter, Profile.Repeat
@@ -65,4 +68,15 @@ func nbenchProgram(k nbench.Kernel, seed uint64, quick bool) (*cost.Profile, err
 	return nbenchMemo.get(nbenchKey{k, seed, quick}, func() (*cost.Profile, error) {
 		return nbenchKernelProgram(k, seed, quick)
 	})
+}
+
+var iobenchMemo memo[int64, *cost.Profile, struct{}]
+
+// iobenchProfile is iobench.Profile, captured once per process per file
+// size.
+func iobenchProfile(size int64) *cost.Profile {
+	p, _ := iobenchMemo.get(size, func() (*cost.Profile, struct{}) {
+		return iobench.Profile(size), struct{}{}
+	})
+	return p
 }

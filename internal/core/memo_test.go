@@ -6,16 +6,17 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"vmdg/internal/bench/iobench"
 	"vmdg/internal/bench/nbench"
 	"vmdg/internal/bench/sevenz"
 	"vmdg/internal/cost"
 )
 
 // TestMemoizedCapturesMatchFresh runs every non-fleet experiment at
-// quick size, then checks that each memoized 7z profile and NBench
-// program deep-equals a fresh capture with the same key. The memo
-// shares one value across every shard that asks for its key, so this
-// pins that no experiment mutates a shared profile.
+// quick size, then checks that each memoized 7z profile, NBench program
+// and IOBench profile deep-equals a fresh capture with the same key.
+// The memo shares one value across every shard that asks for its key,
+// so this pins that no experiment mutates a shared profile.
 func TestMemoizedCapturesMatchFresh(t *testing.T) {
 	cfg := quickCfg()
 	for _, def := range ShardedFigures() {
@@ -44,7 +45,7 @@ func TestMemoizedCapturesMatchFresh(t *testing.T) {
 	}
 
 	// The quick pass captures fig1's per-rep profiles, the shared
-	// 256 KiB host profile, and all ten kernels.
+	// 256 KiB host profile, all ten kernels, and fig3's file sizes.
 	want7z := []sevenzKey{{1, 128 << 10, 1}, {2, 128 << 10, 1}, {1, 256 << 10, 1}}
 	for _, k := range want7z {
 		if _, ok := sevenzMemo.m.Load(k); !ok {
@@ -56,6 +57,12 @@ func TestMemoizedCapturesMatchFresh(t *testing.T) {
 			if _, ok := nbenchMemo.m.Load(nbenchKey{k, cfg.Seed, true}); !ok {
 				t.Errorf("nbench capture of %v not memoized", k)
 			}
+		}
+	}
+
+	for _, size := range figure3Sizes(cfg) {
+		if _, ok := iobenchMemo.m.Load(size); !ok {
+			t.Errorf("iobench capture of %d bytes not memoized", size)
 		}
 	}
 
@@ -74,6 +81,14 @@ func TestMemoizedCapturesMatchFresh(t *testing.T) {
 		fresh, freshErr := nbenchKernelProgram(k.kernel, k.seed, k.quick)
 		if !reflect.DeepEqual(p, fresh) || !reflect.DeepEqual(err, freshErr) {
 			t.Errorf("memoized nbench capture %+v differs from a fresh one", k)
+		}
+		return true
+	})
+	iobenchMemo.m.Range(func(key, f any) bool {
+		size := key.(int64)
+		p, _ := f.(func() (*cost.Profile, struct{}))()
+		if !reflect.DeepEqual(p, iobench.Profile(size)) {
+			t.Errorf("memoized iobench capture of %d bytes differs from a fresh one", size)
 		}
 		return true
 	})

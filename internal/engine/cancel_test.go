@@ -16,23 +16,37 @@ import (
 // with the in-package task/lead gates, so every count asserted below is
 // an invariant, not a race lottery.
 
-// TestRunContextPreCanceled: a run whose context is already dead does
-// no simulation work at all.
+// TestRunContextPreCanceled: a run whose context is already dead
+// dispatches nothing, so it does no simulation work and reports no
+// shard event. A dispatch that raced the canceled context would show in
+// only some runs, so the run repeats.
 func TestRunContextPreCanceled(t *testing.T) {
-	fake := newFake("precancel", 8)
+	const runs, shards = 200, 64
+	fake := newFake("precancel", shards)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	r := Runner{Workers: 2, Cache: NewMemCache()}
-	_, st, err := r.RunContext(ctx, quickCfg(), []Experiment{fake})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	var events, eventful int
+	for i := 0; i < runs; i++ {
+		n := 0
+		r := Runner{Workers: 2, Cache: NewMemCache(), OnEvent: func(Event) { n++ }}
+		_, st, err := r.RunContext(ctx, quickCfg(), []Experiment{fake})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want context.Canceled", i, err)
+		}
+		if st.Misses != 0 || st.Hits != 0 {
+			t.Fatalf("run %d: stats = %+v, want no shard resolved", i, st)
+		}
+		if n > 0 {
+			events += n
+			eventful++
+		}
 	}
-	if fake.runs.Load() != 0 {
-		t.Errorf("RunShard executed %d times after pre-cancel, want 0", fake.runs.Load())
+	if eventful > 0 {
+		t.Errorf("%d of %d pre-canceled runs emitted %d events in all, want none", eventful, runs, events)
 	}
-	if st.Misses != 0 {
-		t.Errorf("Misses = %d, want 0", st.Misses)
+	if got := fake.runs.Load(); got != 0 {
+		t.Errorf("RunShard executed %d times after pre-cancel, want 0", got)
 	}
 }
 
@@ -197,6 +211,7 @@ func TestRunContextCanceledWaiterAbandonsFlight(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	aLeads := make(chan struct{})
+	bParked := make(chan bool, 1)
 	bGone := make(chan struct{})
 
 	rA := Runner{
@@ -204,6 +219,7 @@ func TestRunContextCanceledWaiterAbandonsFlight(t *testing.T) {
 		leadGate: func(key string) {
 			close(aLeads)
 			awaitWaiters(flights, key, 1)
+			bParked <- flights.waitersFor(key) == 1
 			<-bGone // hold the flight open until the waiter has left
 		},
 	}
@@ -226,14 +242,17 @@ func TestRunContextCanceledWaiterAbandonsFlight(t *testing.T) {
 		defer close(done)
 		_, stB, errB = rB.RunContext(ctx, cfg, []Experiment{fake})
 	}()
-	<-aLeads
-	// B is (or is about to be) the flight's waiter; cancel it and wait
-	// for its run to return before letting A publish.
+	// Cancel B only once it waits on A's flight, then wait for its run
+	// to return before letting A publish.
+	parked := <-bParked
 	cancel()
 	<-done
 	close(bGone)
 	wg.Wait()
 
+	if !parked {
+		t.Fatal("B never joined A's flight as a waiter, so nothing was abandoned")
+	}
 	if !errors.Is(errB, context.Canceled) {
 		t.Fatalf("waiter err = %v, want context.Canceled", errB)
 	}

@@ -11,10 +11,11 @@ import (
 // the pool's workers serve the queues round-robin, one unit per turn,
 // so K concurrent runs each see ~1/K of the workers instead of every
 // run spinning its own private pool and oversubscribing the machine K×.
-// Everything that makes a single run deterministic — the in-order
-// feeder, the permit-bounded reorder window, the in-order fold, the
-// manifest journal — lives per run and is untouched by sharing; the
-// pool only decides *which* run's next task a freed worker picks up.
+// Everything that makes a single run deterministic — in-order dispatch
+// by the run's collector, the reorder window that bounds it, the
+// in-order fold, the manifest journal — lives per run and is untouched
+// by sharing; the pool only decides *which* run's next task a freed
+// worker picks up.
 //
 // Runs sharing a Pool also share its single-flight group (see
 // flight.go): a shard payload needed by several concurrent runs is
@@ -41,20 +42,6 @@ func NewPool(workers int) *Pool {
 	p := &Pool{workers: workers, flights: NewFlightGroup()}
 	p.cond = sync.NewCond(&p.mu)
 	return p
-}
-
-var (
-	defaultPoolOnce sync.Once
-	defaultPool     *Pool
-)
-
-// DefaultPool returns the process-wide pool, created with GOMAXPROCS
-// workers on first use. Long-lived multi-run processes (the serve
-// daemon, the concurrency benchmark) hand it to every Runner so the
-// whole process is bounded by one worker budget.
-func DefaultPool() *Pool {
-	defaultPoolOnce.Do(func() { defaultPool = NewPool(0) })
-	return defaultPool
 }
 
 // Workers reports the pool's worker bound.
@@ -91,9 +78,9 @@ type poolRun struct {
 // register creates a run queue on the pool.
 func (p *Pool) register() *poolRun { return &poolRun{p: p} }
 
-// submit enqueues one unit. It never blocks: the caller's permit flow
-// (the reorder window) already bounds how many units a run can have
-// outstanding, so the queue is small by construction.
+// submit enqueues one unit. It never blocks: the run's collector
+// dispatches at most a reorder window of units ahead of its fold, so
+// the queue is small by construction.
 func (r *poolRun) submit(fn func()) {
 	p := r.p
 	p.mu.Lock()

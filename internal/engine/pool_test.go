@@ -125,17 +125,18 @@ func TestRunWithoutPoolLeavesNoWorkers(t *testing.T) {
 	}
 }
 
-// TestDefaultPool pins the process-wide pool: one instance, GOMAXPROCS
-// workers, a single shared flight group.
-func TestDefaultPool(t *testing.T) {
-	p := DefaultPool()
-	if p != DefaultPool() {
-		t.Error("DefaultPool returned distinct pools")
-	}
-	if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Errorf("default pool has %d workers, want GOMAXPROCS=%d", got, want)
-	}
-	if p.Flights() == nil || p.Flights() != p.Flights() {
-		t.Error("default pool's flight group is not a stable singleton")
+// TestNewPoolDefaultsToGOMAXPROCS pins the pool `dgrid serve` builds
+// from its -workers flag: a count <= 0 means GOMAXPROCS workers, and the
+// pool's one flight group is stable.
+func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
+	for _, workers := range []int{0, -3} {
+		p := NewPool(workers)
+		if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {
+			t.Errorf("NewPool(%d) has %d workers, want GOMAXPROCS=%d", workers, got, want)
+		}
+		if p.Flights() == nil || p.Flights() != p.Flights() {
+			t.Errorf("NewPool(%d)'s flight group is not stable", workers)
+		}
+		p.Close()
 	}
 }

@@ -58,7 +58,8 @@ func runOnce(t *testing.T, r *Runner, cfg core.Config, build func() Experiment) 
 //   - Stats.Resumed == the journal's cursor at the kill.
 //
 // The loop runs at worker counts 1, 4, and 8, so resume interacts with
-// the reorder window and the permit flow at every pool shape.
+// the reorder window and the dispatch that follows the fold at every
+// pool shape.
 func TestResumeKillProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	policies := grid.Policies()

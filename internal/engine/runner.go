@@ -165,18 +165,19 @@ type taskResult struct {
 // ahead of the in-order fold. While one worker holds a slow shard near
 // the fold cursor, the others run the tasks behind it only as far as
 // the window reaches. At two workers a window of 64 covers the paper
-// pass's 59 tasks, so no worker waits on another's shard there. The
+// pass's 59 tasks, so the fold never holds dispatch back there. The
 // pass's slowest shard is multivm's, about 0.1 s in a traced pass on a
 // 2-vCPU Xeon. The bound is a constant per worker, so pending payloads
 // do not grow with the shard count.
 const windowPerWorker = 32
 
 // reorderWindow bounds how far task dispatch may run ahead of the
-// in-order fold: the collector holds at most this many out-of-order
-// payloads, so memory stays constant no matter how many shards a run
+// in-order fold: the collector keeps at most this many tasks dispatched
+// and not yet folded, so it holds at most this many out-of-order
+// payloads and memory stays constant no matter how many shards a run
 // has. It never exceeds the run's task count, so a small run (a serve
-// warm replay is two tasks) allocates no permits, result slots or
-// pending capacity it cannot use.
+// warm replay is two tasks) allocates no result slots or pending
+// capacity it cannot use.
 func reorderWindow(tasks, workers int) int {
 	return min(tasks, windowPerWorker*workers)
 }
@@ -209,8 +210,8 @@ func (r *Runner) Run(cfg core.Config, exps []Experiment) ([]*Outcome, Stats, err
 }
 
 // RunContext is Run with a cancellation contract, the shape a
-// multi-tenant server needs: when ctx ends, the feeder stops
-// dispatching, tasks not yet started short-circuit, and the run returns
+// multi-tenant server needs: once ctx ends, the collector dispatches no
+// further task, tasks not yet started short-circuit, and the run returns
 // ctx's error once its running tasks finish — without disturbing any
 // other run sharing the Pool, the cache, or the FlightGroup. A
 // canceled run that leads a shared flight either finishes that one
@@ -325,18 +326,14 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		defer pool.Close()
 	}
 	window := reorderWindow(len(tasks), pool.Workers())
-	permits := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		permits <- struct{}{}
-	}
 	results := make(chan taskResult, window)
 	flights := r.flights()
 
 	// runTask resolves one task — cache, single-flight, or compute —
-	// and reports its payload to the collector. The results channel's
-	// capacity equals the permit window, so the send can never block: a
-	// pool worker always finishes a task without parking on the
-	// collector.
+	// and reports its payload to the collector. The collector keeps at
+	// most window tasks dispatched and not yet folded, and the results
+	// channel holds that many, so the send can never block: a pool
+	// worker always finishes a task without parking on the collector.
 	runTask := func(ti int) {
 		if failed.Load() || ctx.Err() != nil {
 			results <- taskResult{ti: ti}
@@ -354,78 +351,68 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		if r.taskGate != nil {
 			r.taskGate(t.key)
 		}
-		if cache != nil {
-			if b, ok := cache.Get(t.key); ok {
-				hits.Add(int64(len(t.dests)))
-				results <- taskResult{ti: ti, payload: b, cached: true}
-				return
-			}
-		}
+		// Resolve the key: probe the cache, else lead or wait on its
+		// flight. A new leader probes once more before computing:
+		// between this run's miss and its leadership a previous flight
+		// may have landed and left its payload behind, and that second
+		// probe is what guarantees each key is computed at most once per
+		// process no matter how runs interleave. A waiter whose leader
+		// retired probes and contends again.
 		var fc *flightCall
-		if flights != nil {
-			for fc == nil {
-				c, leader := flights.lead(t.key)
-				if leader {
-					fc = c
-					break
-				}
-				// Another run is computing this payload right now: take
-				// its bytes instead of simulating them again.
-				b, err := c.wait(ctx)
-				switch {
-				case err == nil:
-					hits.Add(int64(len(t.dests)))
-					flightHits.Add(1)
-					results <- taskResult{ti: ti, payload: b, cached: true}
-					return
-				case ctx.Err() != nil:
-					// Our own run is done with this work: withdraw from
-					// the flight so the leader's delivery count stays
-					// honest, and let the collector drain us.
-					flights.abandon(t.key, c)
-					results <- taskResult{ti: ti}
-					return
-				case errors.Is(err, errFlightRetired):
-					// The leader was canceled before computing. The key
-					// is still ours to resolve: re-check the cache (a
-					// different flight may have landed meanwhile) and
-					// re-contend for leadership.
-					if cache != nil {
-						if b, ok := cache.Get(t.key); ok {
-							hits.Add(int64(len(t.dests)))
-							results <- taskResult{ti: ti, payload: b, cached: true}
-							return
-						}
-					}
-				default:
-					fail(ti, fmt.Errorf("engine: %s shard %d (shared in-flight): %w", e.Name(), first.shard, err))
-					results <- taskResult{ti: ti}
-					return
-				}
-			}
-			if r.leadGate != nil {
-				r.leadGate(t.key)
-			}
-			// Leaders re-check the cache: between this run's miss above
-			// and its leadership, a previous flight may have landed and
-			// left its payload behind. The re-check is what guarantees
-			// each key is computed at most once per process no matter
-			// how runs interleave.
+		for {
 			if cache != nil {
 				if b, ok := cache.Get(t.key); ok {
-					flightShared.Add(int64(flights.complete(t.key, fc, b, nil)))
+					if fc != nil {
+						flightShared.Add(int64(flights.complete(t.key, fc, b, nil)))
+					}
 					hits.Add(int64(len(t.dests)))
 					results <- taskResult{ti: ti, payload: b, cached: true}
 					return
 				}
 			}
-			// A canceled leader must not sit on the key: hand it back so
-			// a concurrent run that still wants the payload computes it.
-			if ctx.Err() != nil {
-				flights.retire(t.key, fc)
+			// Compute when there is no flight to join, or when this run
+			// leads and its second probe missed.
+			if flights == nil || fc != nil {
+				break
+			}
+			c, leader := flights.lead(t.key)
+			if leader {
+				fc = c
+				if r.leadGate != nil {
+					r.leadGate(t.key)
+				}
+				continue
+			}
+			// Another run is computing this payload right now: take its
+			// bytes instead of simulating them again.
+			b, err := c.wait(ctx)
+			switch {
+			case err == nil:
+				hits.Add(int64(len(t.dests)))
+				flightHits.Add(1)
+				results <- taskResult{ti: ti, payload: b, cached: true}
+				return
+			case ctx.Err() != nil:
+				// Our own run is done with this work: withdraw from the
+				// flight so the leader's delivery count stays honest,
+				// and let the collector drain us.
+				flights.abandon(t.key, c)
+				results <- taskResult{ti: ti}
+				return
+			case !errors.Is(err, errFlightRetired):
+				fail(ti, fmt.Errorf("engine: %s shard %d (shared in-flight): %w", e.Name(), first.shard, err))
 				results <- taskResult{ti: ti}
 				return
 			}
+			// The leader was canceled before computing, so the key is
+			// still ours to resolve.
+		}
+		// A canceled leader must not sit on the key: hand it back so a
+		// concurrent run that still wants the payload computes it.
+		if fc != nil && ctx.Err() != nil {
+			flights.retire(t.key, fc)
+			results <- taskResult{ti: ti}
+			return
 		}
 		b, err := e.RunShard(cfg, first.shard)
 		if err != nil {
@@ -451,50 +438,41 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 		results <- taskResult{ti: ti, payload: b}
 	}
 
-	// Feeder: submits the tasks, one pool unit each, in index order to
-	// this run's queue on the pool, acquiring one permit per task, so
-	// dispatch never runs more than window tasks ahead of the in-order
-	// fold (the collector returns a permit per folded task). That cap is
-	// what bounds the reorder buffer; the pool's round-robin only
-	// decides which run a freed worker serves next.
-	//
-	// Cancellation stops the feeder at the next permit: tasks past the
-	// cancel point are never dispatched, so a canceled tenant's pool
-	// queue drains to nothing instead of cycling no-op tasks through the
-	// shared workers. The feeder always reports how many tasks it
-	// actually dispatched — that count, not len(tasks), is what the
-	// collector waits for. wg counts the feeder and every submitted
-	// task, so waiting on it leaves none of this run's work running.
+	// Dispatch: the collector submits the tasks, one pool unit each, in
+	// index order to this run's queue on the pool — the first window of
+	// them up front, then one more for each task it folds — so dispatch
+	// never runs more than window tasks ahead of the in-order fold. That
+	// cap is what bounds the reorder buffer; the pool's round-robin only
+	// decides which run a freed worker serves next. Once ctx ends nothing
+	// more is submitted, so a canceled tenant's pool queue drains to
+	// nothing instead of cycling no-op tasks through the shared workers,
+	// and the collector waits only for the tasks it dispatched. wg counts
+	// every submitted task, so waiting on it leaves none of this run's
+	// work running.
 	var wg sync.WaitGroup
-	dispatched := make(chan int, 1)
 	queue := pool.register()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		n := 0
-		defer func() { dispatched <- n }()
-		for ti := range tasks {
-			select {
-			case <-permits:
-			case <-ctx.Done():
-				return
-			}
-			wg.Add(1)
-			queue.submit(func() {
-				defer wg.Done()
-				runTask(ti)
-			})
-			n = ti + 1
+	dispatched := 0
+	dispatch := func() {
+		if dispatched == len(tasks) || ctx.Err() != nil {
+			return
 		}
-	}()
+		ti := dispatched
+		dispatched++
+		wg.Add(1)
+		queue.submit(func() {
+			defer wg.Done()
+			runTask(ti)
+		})
+	}
+	for range window {
+		dispatch()
+	}
 
 	// Collector: re-establishes task order behind the pool and folds the
 	// contiguous prefix. pending holds only out-of-order payloads, and
-	// the permit flow keeps it no larger than the reorder window. The
-	// expected result count starts at len(tasks) and drops to the
-	// feeder's dispatched count if cancellation cut dispatch short —
-	// every dispatched task still reports exactly one result, even when
-	// it short-circuits.
+	// the dispatch bound keeps it no larger than the reorder window.
+	// Every dispatched task reports exactly one result, even when it
+	// short-circuits.
 	pending := make(map[int]taskResult, window)
 	contig := 0
 	deliver := func(ti int, payload []byte) {
@@ -508,16 +486,8 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 			}
 		}
 	}
-	expected, dispatchedC := len(tasks), dispatched
-	for received := 0; received < expected; {
-		var res taskResult
-		select {
-		case res = <-results:
-		case n := <-dispatchedC:
-			expected, dispatchedC = n, nil
-			continue
-		}
-		received++
+	for received := 0; received < dispatched; received++ {
+		res := <-results
 		pending[res.ti] = res
 		for {
 			tr, ok := pending[contig]
@@ -538,7 +508,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg core.Config, exps []Experim
 				}
 			}
 			contig++
-			permits <- struct{}{}
+			dispatch()
 			if r.OnEvent != nil {
 				kind := EventShardComputed
 				if tr.cached {

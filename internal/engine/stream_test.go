@@ -164,8 +164,8 @@ func TestSlowCursorTaskDoesNotIdlePool(t *testing.T) {
 // windowExp is a fakeExp whose every RunShard checks the dispatch bound
 // against the fold: shard must be below absorbed + window, where
 // absorbed counts the payloads its fold has absorbed. Absorb runs
-// before the collector returns the task's permit, so absorbed never
-// lags the permits handed back.
+// before the collector dispatches the next task, so absorbed never lags
+// the fold cursor that dispatch follows.
 type windowExp struct {
 	*fakeExp
 	window     int
@@ -201,7 +201,7 @@ func (c *countingFold) Absorb(shard int, payload []byte) error {
 // with more tasks than the window, no task starts window or more tasks
 // ahead of the fold, for any worker count. The window itself is
 // min(tasks, 32·workers): at least one task for any non-empty run, and
-// never more permits than the run has tasks.
+// never more than the run has tasks.
 func TestReorderWindowBounds(t *testing.T) {
 	for workers := 1; workers <= 16; workers++ {
 		for tasks := 1; tasks <= 600; tasks += 7 {

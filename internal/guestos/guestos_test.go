@@ -807,8 +807,7 @@ func TestGThreadString(t *testing.T) {
 // back through a fresh Kernel on fakeDisk.
 func BenchmarkPageCache(b *testing.B) {
 	size := iobench.Sizes()[len(iobench.Sizes())-1]
-	prof := &cost.Profile{Name: "iobench-32M", Steps: slices.Concat(
-		iobench.WriteProfile(size).Steps, iobench.ReadProfile(size).Steps)}
+	prof := iobench.Profile(size)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

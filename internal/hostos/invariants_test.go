@@ -86,7 +86,7 @@ func TestWorkConservationUnderContention(t *testing.T) {
 		}
 		s.Run()
 		ideal := sim.FromSeconds(float64(n) * cycles / m.CPU.FreqHz / float64(m.CPU.Cores))
-		slack := o.Quantum + 10*sim.Millisecond
+		slack := quantum + 10*sim.Millisecond
 		if s.Now() < ideal-sim.Millisecond || s.Now() > ideal+slack {
 			t.Errorf("n=%d: wall %v, ideal %v (+%v slack)", n, s.Now(), ideal, slack)
 		}

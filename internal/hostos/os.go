@@ -8,10 +8,10 @@ import (
 	"vmdg/internal/sim"
 )
 
-// DefaultQuantum approximates the Windows XP workstation timeslice
+// quantum approximates the Windows XP workstation timeslice
 // (2 clock ticks × ~15.6 ms, foreground-boosted threads get more; a single
 // representative value suffices for the ratios studied here).
-const DefaultQuantum = 30 * sim.Millisecond
+const quantum = 30 * sim.Millisecond
 
 // zeroStepLimit bounds how many zero-cost steps a thread may retire inside
 // one scheduler event before the OS declares the program defective. It
@@ -42,9 +42,8 @@ func (c *coreTimer) Fire(sim.Time) { c.o.coreEvent(c.core) }
 
 // OS is the host operating system instance for one machine.
 type OS struct {
-	M       *hw.Machine
-	Sim     *sim.Simulator
-	Quantum sim.Time
+	M   *hw.Machine
+	Sim *sim.Simulator
 
 	cores []coreState
 	ready [numPrio][]*Thread
@@ -61,7 +60,6 @@ func Boot(m *hw.Machine) *OS {
 	o := &OS{
 		M:        m,
 		Sim:      m.Sim,
-		Quantum:  DefaultQuantum,
 		cores:    make([]coreState, m.CPU.Cores),
 		idleTime: make([]sim.Time, m.CPU.Cores),
 		lastIdle: make([]sim.Time, m.CPU.Cores),
@@ -237,7 +235,7 @@ func (o *OS) coreEvent(core int) {
 			o.fillCore(core)
 			return
 		}
-		t.sliceEnd = o.Sim.Now() + o.Quantum
+		t.sliceEnd = o.Sim.Now() + quantum
 	})
 }
 
@@ -353,7 +351,7 @@ func (o *OS) dispatch(t *Thread, core int) {
 	t.state = stateRunning
 	t.core = core
 	t.settled = o.Sim.Now()
-	t.sliceEnd = o.Sim.Now() + o.Quantum
+	t.sliceEnd = o.Sim.Now() + quantum
 	t.dispatches++
 }
 

@@ -3,9 +3,8 @@
 // the reported value summarizes the sample.
 //
 // Sample accumulates repeated measurements of one quantity and exposes
-// the summaries the experiment layer reports: mean, 95% confidence
-// half-width (the error bars of Figures 1–4), and percentiles (the
-// interactive-latency quantiles of the dgrid fleet scenario). GeoMean
+// the summaries the experiment layer reports: the mean and the 95%
+// confidence half-width (the error bars of Figures 1–4). GeoMean
 // aggregates rate ratios the way NBench composes its indices — the
 // geometric mean, so that reciprocal ratios cancel.
 //

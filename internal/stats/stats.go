@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Sample accumulates repeated measurements of one quantity.
 type Sample struct {
@@ -13,12 +9,6 @@ type Sample struct {
 
 // Add appends a measurement.
 func (s *Sample) Add(v float64) { s.vals = append(s.vals, v) }
-
-// N is the number of measurements.
-func (s *Sample) N() int { return len(s.vals) }
-
-// Values returns a copy of the raw measurements.
-func (s *Sample) Values() []float64 { return append([]float64(nil), s.vals...) }
 
 // Mean returns the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
@@ -30,20 +20,6 @@ func (s *Sample) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.vals))
-}
-
-// Median returns the middle value (average of the middle two for even n).
-func (s *Sample) Median() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // Stddev returns the sample standard deviation (n−1 denominator).
@@ -71,66 +47,6 @@ func (s *Sample) CI95() float64 {
 	return 1.96 * s.Stddev() / math.Sqrt(float64(n))
 }
 
-// Min returns the smallest measurement (0 for an empty sample).
-func (s *Sample) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest measurement (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// String formats mean ± stddev (n).
-func (s *Sample) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean(), s.Stddev(), s.N())
-}
-
-// Of builds a sample from values.
-func Of(vals ...float64) *Sample {
-	s := &Sample{}
-	for _, v := range vals {
-		s.Add(v)
-	}
-	return s
-}
-
-// Ratio divides two samples element-wise when lengths match (paired
-// measurements), falling back to the ratio of means otherwise.
-func Ratio(num, den *Sample) *Sample {
-	out := &Sample{}
-	if num.N() == den.N() && num.N() > 0 {
-		for i := range num.vals {
-			if den.vals[i] != 0 {
-				out.Add(num.vals[i] / den.vals[i])
-			}
-		}
-		return out
-	}
-	if d := den.Mean(); d != 0 {
-		out.Add(num.Mean() / d)
-	}
-	return out
-}
-
 // GeoMean returns the geometric mean of positive values; zero or negative
 // inputs are skipped (matching how benchmark indexes handle bad runs).
 func GeoMean(vals []float64) float64 {
@@ -147,22 +63,4 @@ func GeoMean(vals []float64) float64 {
 		return 0
 	}
 	return math.Exp(logSum / float64(n))
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) by nearest-rank on the
-// sorted sample; 0 for an empty sample.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }

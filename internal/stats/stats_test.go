@@ -2,55 +2,45 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// of builds a sample from values.
+func of(vals ...float64) *Sample {
+	s := &Sample{}
+	for _, v := range vals {
+		s.Add(v)
+	}
+	return s
+}
+
 func TestEmptySample(t *testing.T) {
 	s := &Sample{}
-	if s.Mean() != 0 || s.Median() != 0 || s.Stddev() != 0 || s.CI95() != 0 ||
-		s.Min() != 0 || s.Max() != 0 || s.N() != 0 {
+	if s.Mean() != 0 || s.Stddev() != 0 || s.CI95() != 0 {
 		t.Fatal("empty sample not all-zero")
 	}
 }
 
 func TestBasicMoments(t *testing.T) {
-	s := Of(2, 4, 4, 4, 5, 5, 7, 9)
+	s := of(2, 4, 4, 4, 5, 5, 7, 9)
 	if s.Mean() != 5 {
 		t.Fatalf("mean = %v", s.Mean())
 	}
 	if got := s.Stddev(); math.Abs(got-2.138) > 0.001 {
 		t.Fatalf("stddev = %v", got)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if s.Median() != 4.5 {
-		t.Fatalf("median = %v", s.Median())
-	}
-	if Of(1, 2, 3).Median() != 2 {
-		t.Fatal("odd median")
-	}
 }
 
 func TestCI95ShrinksWithN(t *testing.T) {
-	small := Of(1, 2, 3, 4)
+	small := of(1, 2, 3, 4)
 	big := &Sample{}
 	for i := 0; i < 16; i++ {
 		big.Add(float64(1 + i%4))
 	}
 	if big.CI95() >= small.CI95() {
 		t.Fatalf("CI95 did not shrink: %v vs %v", big.CI95(), small.CI95())
-	}
-}
-
-func TestMedianRobustToOutlier(t *testing.T) {
-	s := Of(1, 1, 1, 1, 1000)
-	if s.Median() != 1 {
-		t.Fatalf("median = %v", s.Median())
-	}
-	if s.Mean() < 100 {
-		t.Fatalf("mean should be dragged by the outlier: %v", s.Mean())
 	}
 }
 
@@ -67,8 +57,7 @@ func TestStatsOrderInvariantProperty(t *testing.T) {
 		for i := len(raw) - 1; i >= 0; i-- {
 			rev.Add(float64(raw[i]))
 		}
-		return fwd.Mean() == rev.Mean() && fwd.Median() == rev.Median() &&
-			fwd.Min() == rev.Min() && fwd.Max() == rev.Max()
+		return fwd.Mean() == rev.Mean()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -84,29 +73,11 @@ func TestMinMeanMaxOrderingProperty(t *testing.T) {
 		for _, v := range raw {
 			s.Add(float64(v))
 		}
-		return s.Min() <= s.Mean()+1e-9 && s.Mean() <= s.Max()+1e-9
+		lo, hi := float64(slices.Min(raw)), float64(slices.Max(raw))
+		return lo <= s.Mean()+1e-9 && s.Mean() <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRatioPaired(t *testing.T) {
-	num := Of(10, 20, 30)
-	den := Of(5, 10, 10)
-	r := Ratio(num, den)
-	if r.N() != 3 || r.Mean() != (2+2+3)/3.0 {
-		t.Fatalf("paired ratio = %v", r)
-	}
-}
-
-func TestRatioUnpairedFallsBackToMeans(t *testing.T) {
-	r := Ratio(Of(10, 20), Of(5))
-	if r.N() != 1 || r.Mean() != 3 {
-		t.Fatalf("unpaired ratio = %v", r)
-	}
-	if Ratio(Of(1), Of(0)).N() != 0 {
-		t.Fatal("division by zero produced a value")
 	}
 }
 
@@ -119,27 +90,5 @@ func TestGeoMean(t *testing.T) {
 	}
 	if GeoMean(nil) != 0 {
 		t.Fatal("empty geomean nonzero")
-	}
-}
-
-func TestSampleString(t *testing.T) {
-	if Of(1, 2).String() == "" {
-		t.Fatal("empty string")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	s := Of(5, 1, 4, 2, 3)
-	if s.Percentile(0) != 1 || s.Percentile(1) != 5 {
-		t.Fatalf("extremes: %v %v", s.Percentile(0), s.Percentile(1))
-	}
-	if s.Percentile(0.5) != 3 {
-		t.Fatalf("median percentile = %v", s.Percentile(0.5))
-	}
-	if (&Sample{}).Percentile(0.5) != 0 {
-		t.Fatal("empty percentile nonzero")
-	}
-	if s.Percentile(-1) != 1 || s.Percentile(2) != 5 {
-		t.Fatal("clamping broken")
 	}
 }

@@ -102,7 +102,7 @@ func newVirtualNIC(vm *VM, tx, rx *hw.Link) *VirtualNIC {
 	s := vm.hostOS.Sim
 	n := &VirtualNIC{vm: vm, tx: tx, rx: rx}
 	if vm.Prof.NetMode == NetNAT {
-		n.natq = &serviceQueue{s: s, cap: vm.Prof.natQueueFrames()}
+		n.natq = &serviceQueue{s: s, cap: natQueueFrames}
 		n.txq, n.rxq = n.natq, n.natq
 	} else {
 		n.txq = &serviceQueue{s: s}

@@ -64,10 +64,6 @@ type Profile struct {
 	NetPerFrame    sim.Time // device-path service time per frame
 	NetPerByte     sim.Time // additional service per payload byte
 	NetCPUPerFrame float64  // host cycles of emulation per frame
-	// NATQueueFrames bounds the NAT proxy's pending-frame buffer
-	// (0 takes the default). TCP's 64 KB window never fills it; an
-	// unpaced UDP flood does, producing loss.
-	NATQueueFrames int
 
 	// Host-side service footprint while the VM is powered on: a
 	// free-running duty cycle at elevated priority (the VMM's kernel
@@ -133,23 +129,13 @@ func (p Profile) Validate() error {
 	if p.RAMBytes < 0 {
 		return fmt.Errorf("vmm: %s negative RAM", p.Name)
 	}
-	if p.NATQueueFrames < 0 {
-		return fmt.Errorf("vmm: %s negative NAT queue bound", p.Name)
-	}
 	return nil
 }
 
-// defaultNATQueueFrames sizes the proxy buffer so windowed TCP (≤ ~70
-// frames of data+ACKs in flight) never overflows while UDP floods do.
-const defaultNATQueueFrames = 96
-
-// natQueueFrames resolves the proxy buffer bound.
-func (p Profile) natQueueFrames() int {
-	if p.NATQueueFrames > 0 {
-		return p.NATQueueFrames
-	}
-	return defaultNATQueueFrames
-}
+// natQueueFrames bounds the NAT proxy's pending-frame buffer, sized so
+// windowed TCP (≤ ~70 frames of data+ACKs in flight, its 64 KB window)
+// never overflows it while an unpaced UDP flood does, producing loss.
+const natQueueFrames = 96
 
 // ExpandFactor returns the host-cycles-per-guest-cycle multiplier for a
 // compute step with the given class mix.
